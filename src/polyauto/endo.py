@@ -16,12 +16,19 @@ component), listed in a frozen graded-lexicographic order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
+from operator import lshift
 from typing import Sequence
 
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
-from .poly import NEG_INF, Poly, Scalar, _as_fraction
+from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff
+
+# poly_det packs one slot densely only while its degree bound stays within
+# this many times the matrix's term count: a dense value holds a field for
+# every exponent up to the bound, so a sparse high power such as x1^(10^19)
+# must stay in the key.
+_DENSE_DEGREE_PER_TERM = 4
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -188,25 +195,7 @@ class Endo:
         )
 
     def jacobian_det(self) -> Poly:
-        # Clear denominators one row at a time: integer coefficients keep the
-        # determinant arithmetic on the fast path, and the collected factor
-        # divides out exactly at the end.
-        rows = []
-        divisor = 1
-        for row in self.jacobian_matrix():
-            multiplier = 1
-            for entry in row:
-                for c in entry.terms().values():
-                    if isinstance(c, Fraction):
-                        multiplier = multiplier * c.denominator // gcd(
-                            multiplier, c.denominator
-                        )
-            if multiplier != 1:
-                row = tuple(_scale_to_integer(entry, multiplier) for entry in row)
-                divisor *= multiplier
-            rows.append(row)
-        determinant = poly_det(rows)
-        return determinant / divisor if divisor != 1 else determinant
+        return poly_det(self.jacobian_matrix())
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -269,62 +258,146 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 
     Dynamic programming over column subsets (Laplace expansion with shared
-    minors): n * 2^(n-1) polynomial multiplications instead of the n! of a
-    naive permanent-style expansion.  Rows are processed sparsest first so
-    the dense rows only multiply the final minors, which keeps the largest
-    intermediate products few.
+    minors): n * 2^(n-1) entry-by-minor products instead of the n! of a
+    naive permanent-style expansion, with rows taken sparsest first so the
+    dense rows only multiply the final minors.  The expansion runs on
+    Kronecker-packed integers (:class:`_Packing`): each row is multiplied
+    by the lcm of its denominators, the coefficients of one dense slot (the
+    one of largest degree bound) share one int in B-bit fields, the other
+    slots' exponents pack into the dict key, and the determinant is decoded
+    once, in balanced digits, then divided by the product of the row lcms.
+    Packing the dense slot evaluates it at y = 2^B, a ring homomorphism, so
+    products and sums of packed values are exact without decoding.  The
+    decoding is unique for B = bits(P) + 2, with P the product over rows of
+    the row's l1 norm (the sum of its entries' absolute coefficients): by
+    the Leibniz expansion every partial minor, partial sum and the
+    determinant itself is a signed sum of products taking one entry from
+    each of some rows, so its l1 norm is at most P < 2^(B-2), and every
+    coefficient lies inside the balanced digit range (-2^(B-1), 2^(B-1)).
+    Key fields are as wide as a bound on every minor's degree in their slot
+    (n times the matrix's largest exponent there, since a minor multiplies
+    at most one entry per row), so no key sum carries into the next field.
     """
     n = len(rows)
     if n == 0:
         raise DimensionError("empty matrix")
-    nvars = rows[0][0].nvars
     for row in rows:
         if len(row) != n:
             raise DimensionError("determinant needs a square matrix")
-    order = sorted(range(n), key=lambda i: sum(len(e.terms()) for e in rows[i]))
-    parity = _permutation_parity(order)
-    rows = [rows[i] for i in order]
-    # minors[S] = det of the submatrix on rows 0..k-1 and column set S
-    minors: dict[frozenset, Poly] = {frozenset(): Poly.const(nvars, 1)}
-    for k in range(n):
-        new: dict[frozenset, Poly] = {}
+    nvars = rows[0][0].nvars
+    if {entry.nvars for row in rows for entry in row} != {nvars}:
+        raise DimensionError("matrix entries must share nvars")
+    packing = _Packing(rows, nvars)
+    order = sorted(range(n), key=lambda i: sum(map(len, packing.rows[i])))
+    # minors[S] = det of the submatrix on the first k ordered rows and the
+    # columns in the bit set S
+    minors: dict[int, dict[int, int]] = {0: {0: 1}}
+    for k, i in enumerate(order):
+        new: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
-            if minor.is_zero:
-                continue
-            for j in range(n):
-                if j in cols:
+            for j, entry in enumerate(packing.rows[i]):
+                bit = 1 << j
+                if cols & bit or not entry:
                     continue
-                entry = rows[k][j]
-                if entry.is_zero:
-                    continue
-                term = entry * minor
                 # cofactor sign: row parity k plus position of j in the enlarged set
-                pos = sum(1 for c in cols if c < j)
-                signed = term if (k + pos) % 2 == 0 else -term
-                key = frozenset(cols | {j})
-                acc = new.get(key)
-                new[key] = signed if acc is None else acc + signed
-        if not new:
+                negate = (k + (cols & (bit - 1)).bit_count()) & 1
+                acc = new.setdefault(cols | bit, {})
+                get = acc.get
+                for ka, ca in entry.items():
+                    if negate:
+                        ca = -ca
+                    for kb, cb in minor.items():
+                        key = ka + kb
+                        acc[key] = get(key, 0) + ca * cb
+        minors = {}
+        for cols, acc in new.items():
+            acc = {key: c for key, c in acc.items() if c}
+            if acc:
+                minors[cols] = acc
+        if not minors:
             return Poly.zero(nvars)
-        minors = new
-    determinant = minors.get(frozenset(range(n)), Poly.zero(nvars))
-    return -determinant if parity else determinant
+    determinant = packing.unpack(minors[(1 << n) - 1])
+    return -determinant if _permutation_parity(order) else determinant
 
 
-def _scale_to_integer(entry: Poly, multiplier: int) -> Poly:
-    """entry * multiplier with genuinely integer coefficients.
+class _Packing:
+    """Kronecker packing of one matrix's entries, and its inverse.
 
-    The multiplier must be a common multiple of all denominators; plain
-    scalar multiplication would leave denominator-1 Fractions behind, which
-    miss the integer fast path.
+    After its row is made integral, a term c * x^e of an entry (t is the
+    last slot of e) is read as the int E = sum(e[s] << offset[s]) over all
+    slots.  The key fields sit below bit ``top`` and the dense slot's field
+    at ``top``, so the term goes to the key E mod 2^top and adds
+    c << (width * (E >> top)) to that key's value.  No slot is dense when
+    the dense degree bound exceeds _DENSE_DEGREE_PER_TERM times the
+    matrix's term count: then E >> top is 0 and values are plain
+    coefficients.
     """
-    out = {}
-    for key, c in entry.terms().items():
-        if isinstance(c, Fraction):
-            out[key] = c.numerator * (multiplier // c.denominator)
-        else:
-            out[key] = c * multiplier
-    return Poly(entry.nvars, out)
+
+    def __init__(self, rows: Sequence[Sequence[Poly]], nvars: int):
+        self.nvars = nvars
+        scaled = []
+        self.divisor = norm = 1
+        for row in rows:
+            row = [entry.terms() for entry in row]
+            m = lcm(*{c.denominator for entry in row for c in entry.values()})
+            if m > 1:
+                self.divisor *= m
+                row = [
+                    {key: c.numerator * (m // c.denominator) for key, c in entry.items()}
+                    for entry in row
+                ]
+            scaled.append(row)
+            norm *= sum([abs(c) for entry in row for c in entry.values()])
+        self.width = norm.bit_length() + 2
+        keys = [key for row in scaled for entry in row for key in entry]
+        bounds = [len(rows) * max(column) for column in zip(*keys)] or [0] * (nvars + 1)
+        dense = max(range(nvars + 1), key=bounds.__getitem__)
+        if bounds[dense] > _DENSE_DEGREE_PER_TERM * len(keys):
+            dense = None
+        # (offset, mask) of each slot's field; the dense field is unbounded
+        self.fields = [(0, 0)] * (nvars + 1)
+        top = 0
+        for s, bound in enumerate(bounds):
+            if s != dense:
+                bits = bound.bit_length()
+                self.fields[s] = (top, (1 << bits) - 1)
+                top += bits
+        if dense is not None:
+            self.fields[dense] = (top, -1)
+        self.top = top
+        offsets = [offset for offset, _ in self.fields]
+        low, width = (1 << top) - 1, self.width
+        self.rows = []
+        for row in scaled:
+            packed_row = []
+            for entry in row:
+                out: dict[int, int] = {}
+                for key, c in entry.items():
+                    e = sum(map(lshift, key, offsets))
+                    out[e & low] = out.get(e & low, 0) + (c << width * (e >> top))
+                packed_row.append(out)
+            self.rows.append(packed_row)
+
+    def unpack(self, packed: dict[int, int]) -> Poly:
+        """The polynomial of packed terms, divided by the rows' lcms."""
+        width = self.width
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        out = {}
+        for p, value in packed.items():
+            e = 0
+            while value:
+                c = value & mask
+                if c >= half:
+                    c -= mask + 1
+                if c:
+                    key = p | e << self.top
+                    out[tuple((key >> offset) & field for offset, field in self.fields)] = (
+                        c if self.divisor == 1 else _norm_coeff(Fraction(c, self.divisor))
+                    )
+                value = (value - c) >> width
+                e += 1
+        return Poly._make(self.nvars, out)
 
 
 def _permutation_parity(order: Sequence[int]) -> int:

@@ -122,9 +122,15 @@ class _RawPoly:
         return _RawPoly(out)
 
     def power(self, exponent: int) -> "_RawPoly":
+        # repeated squaring: log2(exponent) products, so x1^(10^19) parses at once
         result = _RawPoly.constant(Fraction(1))
-        for _ in range(exponent):
-            result = result.multiply(self)
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result.multiply(base)
+            exponent >>= 1
+            if exponent:
+                base = base.multiply(base)
         return result
 
     def max_index(self) -> int:

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial in x1..xn, optionally involving one distinguished parameter
-named t, is stored as a dictionary mapping exponent tuples to nonzero
-:class:`fractions.Fraction` coefficients.  Keys have length ``nvars + 1``;
+named t, is stored as a dictionary mapping exponent tuples to nonzero exact
+rational coefficients: an ``int`` where the value is integral, otherwise a
+:class:`fractions.Fraction`.  Keys have length ``nvars + 1``;
 the last slot holds the exponent of t.  The zero polynomial has an empty
 term map, zero coefficients are never stored, and equality is structural,
 so canonical forms are unique.
@@ -107,8 +108,8 @@ class Poly:
 
     @classmethod
     def _make(cls, nvars: int, terms: dict) -> "Poly":
-        # Trusted fast path: terms already canonical (Fraction values, no zeros,
-        # full-length keys).
+        # Trusted fast path: terms already canonical (int values where
+        # integral, Fraction otherwise, no zeros, full-length keys).
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -30,6 +31,17 @@ class TestInfo:
         assert payload["degree"] == "5"
         assert payload["jacobian"] == "1"
         assert payload["identity_affine_part"] is True
+
+    def test_huge_exponent_is_fast_and_exact(self, capsys):
+        # one sparse power: the parser squares, and the determinant keeps
+        # the exponent in a key field instead of a dense coefficient range
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "info", "[x1^9999999999999999999, x2]")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        expected = "jacobian determinant: 9999999999999999999*x1^9999999999999999998"
+        assert expected in out.splitlines()
+        assert elapsed < 5
 
 
 class TestCompose:

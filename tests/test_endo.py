@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
-from polyauto import Poly
+from polyauto import Poly, selfcheck
 from polyauto.endo import CoeffVector, Endo, monomials_upto, poly_det
 from polyauto.errors import DegenerateInput, DimensionError, FiltrationError
 
@@ -55,6 +56,36 @@ def numeric_det(rows):
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * numeric_det(minor)
     return total
+
+
+def leibniz_det(rows):
+    """Test-local oracle: the signed sum over permutations, on plain term dicts."""
+    n = len(rows)
+    width = rows[0][0].nvars + 1
+    total = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        product = {(0,) * width: Fraction(-1 if inversions % 2 else 1)}
+        for i, j in enumerate(perm):
+            step = {}
+            for k1, c1 in product.items():
+                for k2, c2 in rows[i][j].terms().items():
+                    key = tuple(a + b for a, b in zip(k1, k2))
+                    step[key] = step.get(key, 0) + c1 * c2
+            product = step
+        for key, c in product.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
+
+
+def random_entry(rng, n, with_t):
+    terms = {}
+    for _ in range(rng.choice((0, 1, 1, 2, 3, 5))):
+        key = tuple(rng.randint(0, 3) for _ in range(n)) + (rng.randint(0, 2) if with_t else 0,)
+        terms[key] = rng.choice(
+            (rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        )
+    return Poly(n, terms)
 
 
 class TestComposition:
@@ -196,6 +227,72 @@ class TestJacobian:
                 ]
                 numeric = numeric_det([[e.constant_term() for e in row] for row in rows])
                 assert poly_det(rows) == Poly.const(n, numeric)
+
+    def test_poly_det_matches_leibniz_oracle(self):
+        rng = random.Random(2009)
+        zeros = 0
+        for trial in range(160):
+            n = 1 + trial % 4
+            with_t = trial % 3 == 0
+            rows = [[random_entry(rng, n, with_t) for _ in range(n)] for _ in range(n)]
+            if trial % 10 == 9:
+                rows[rng.randrange(n)] = [Poly.zero(n)] * n
+            det = poly_det(rows)
+            zeros += det.is_zero
+            assert det.terms() == leibniz_det(rows)
+        assert 16 <= zeros < 100  # the zero rows, and some that vanish by chance
+
+    def test_poly_det_at_the_coefficient_bound(self):
+        # Single-term entries in a permuted diagonal: the determinant's one
+        # coefficient is the product of the rows' l1 norms, the largest value
+        # the packed fields are sized for.  Dense rows of +-(2^k - 1) put
+        # full-size coefficients of both signs next to each other.
+        rng = random.Random(1609)
+        for trial in range(60):
+            n = 1 + trial % 4
+            k = rng.choice((1, 2, 7, 31, 64))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = [[Poly.zero(n)] * n for _ in range(n)]
+            for i, j in enumerate(perm):
+                key = tuple(rng.randint(0, 4) for _ in range(n + 1))
+                rows[i][j] = Poly(n, {key: rng.choice((-1, 1)) * (2**k - 1)})
+            assert poly_det(rows).terms() == leibniz_det(rows)
+            corner = 2**k - 1
+            dense = [
+                [
+                    Poly(n, {(e,) + (0,) * n: rng.choice((-corner, corner)) for e in range(3)})
+                    if rng.random() < 0.7
+                    else Poly.zero(n)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            assert poly_det(dense).terms() == leibniz_det(dense)
+
+    def test_jacobian_det_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(271)
+        checked = 0
+        for trial in range(30):
+            n = 2 + trial % 3
+            sigma = selfcheck.random_endo(rng, n)
+            jacobian = sigma.jacobian_det()
+            if jacobian.is_constant():
+                continue
+            symbols = sympy.symbols(f"x1:{n + 1}")
+
+            def to_sympy(f):
+                return sum(
+                    sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(v**e for v, e in zip(symbols, key)))
+                    for key, c in f.terms().items()
+                )
+
+            matrix = sympy.Matrix([to_sympy(f) for f in sigma.components]).jacobian(symbols)
+            assert sympy.expand(matrix.det() - to_sympy(jacobian)) == 0
+            checked += 1
+        assert checked >= 15
 
     def test_chain_rule_at_points(self):
         rng = random.Random(47)
