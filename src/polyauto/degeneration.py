@@ -353,12 +353,16 @@ def degenerate(psi: Endo) -> Endo:
     underlying the construction failed, so it raises instead of returning.
     """
     data = degeneration_data(psi)
-    n = psi.n
+    return _checked_limit(data, torus_conjugate(psi, data.valuation))
+
+
+def _checked_limit(data: DegenerationData, curve: ParamEndo) -> Endo:
+    """The curve at t = 0, which must equal the shear formula's limit map."""
+    n = curve.n
     formula = Endo(
         [Poly.variable(n, 1) + data.limit_shear]
         + [Poly.variable(n, i) for i in range(2, n + 1)]
     )
-    curve = torus_conjugate(psi, data.valuation)
     limit = curve.specialize(0)
     if formula != limit:
         raise ConsistencyError(
@@ -444,7 +448,7 @@ def witness_report(phi: Endo) -> WitnessReport:
     psi = record.result
     data = degeneration_data(psi)
     curve = torus_conjugate(psi, data.valuation)
-    witness = degenerate(psi)
+    witness = _checked_limit(data, curve)
     report = verify_limit(curve, witness)
     if not report.passed:
         raise ConsistencyError("limit verification failed for a computed witness")

@@ -388,13 +388,18 @@ class _Packing:
             e = 0
             while value:
                 c = value & mask
+                if not c:
+                    # balanced digits: the lowest set bit is in the lowest nonzero field
+                    skip = ((value & -value).bit_length() - 1) // width
+                    value >>= skip * width
+                    e += skip
+                    c = value & mask
                 if c >= half:
                     c -= mask + 1
-                if c:
-                    key = p | e << self.top
-                    out[tuple((key >> offset) & field for offset, field in self.fields)] = (
-                        c if self.divisor == 1 else _norm_coeff(Fraction(c, self.divisor))
-                    )
+                key = p | e << self.top
+                out[tuple((key >> offset) & field for offset, field in self.fields)] = (
+                    c if self.divisor == 1 else _norm_coeff(Fraction(c, self.divisor))
+                )
                 value = (value - c) >> width
                 e += 1
         return Poly._make(self.nvars, out)

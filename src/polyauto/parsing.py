@@ -13,8 +13,14 @@ Grammar (whitespace insignificant)::
 The bare names x, y, z are aliases for x1, x2, x3 and are only accepted
 when the endomorphism has at most three components.  A leading minus sign
 is accepted so that every canonically printed polynomial parses back.
-The number of variables of an endomorphism is its component count; any
-explicit index beyond that is an error.
+
+The number of variables is fixed from the token list before parsing: an
+endomorphism has as many as it has components (1 plus the commas before
+the first ']'); a lone polynomial has ``nvars`` if given, else the highest
+index named (at least 1).  Any explicit index beyond that count is a
+ParseError at the token that names it, even if its terms cancel later.
+The parser then builds each component as a :class:`Poly` directly, with
+Poly's own arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import re
 from fractions import Fraction
 
 from .endo import Endo
-from .errors import DimensionError, ParseError
+from .errors import ParseError
 from .poly import Poly
 
 _TOKEN = re.compile(
@@ -68,128 +74,76 @@ class _Tokens:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}, found {value or 'end of input'!r}", at)
 
+    def expect_end(self):
+        kind, value, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {value!r}", at)
 
-class _RawPoly:
-    """Terms keyed by sparse (variable index or 't') -> exponent mappings."""
+    def component_count(self) -> int:
+        """1 plus the commas before the first ']'."""
+        count = 1
+        for kind, value, _ in self.items:
+            if kind == "op":
+                if value == "]":
+                    break
+                count += value == ","
+        return count
 
-    __slots__ = ("terms",)
+    def highest_index(self) -> int:
+        """The largest variable index named in the text, at least 1."""
+        return max([1] + [_index(value) or 1 for kind, value, _ in self.items if kind == "name"])
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
 
-    @classmethod
-    def constant(cls, value: Fraction) -> "_RawPoly":
-        return cls({(): value} if value else {})
-
-    @classmethod
-    def variable(cls, key) -> "_RawPoly":
-        return cls({((key, 1),): Fraction(1)})
-
-    def add(self, other: "_RawPoly") -> "_RawPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _RawPoly(out)
-
-    def negate(self) -> "_RawPoly":
-        return _RawPoly({key: -c for key, c in self.terms.items()})
-
-    def multiply(self, other: "_RawPoly") -> "_RawPoly":
-        out = {}
-        for k1, c1 in self.terms.items():
-            e1 = dict(k1)
-            for k2, c2 in other.terms.items():
-                merged = dict(e1)
-                for var, e in k2:
-                    merged[var] = merged.get(var, 0) + e
-                # canonical key order: x-variables by index, then t
-                key = tuple(
-                    sorted(
-                        merged.items(),
-                        key=lambda item: (1, 0) if item[0] == "t" else (0, item[0]),
-                    )
-                )
-                c = c1 * c2
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _RawPoly(out)
-
-    def power(self, exponent: int) -> "_RawPoly":
-        # repeated squaring: log2(exponent) products, so x1^(10^19) parses at once
-        result = _RawPoly.constant(Fraction(1))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result.multiply(base)
-            exponent >>= 1
-            if exponent:
-                base = base.multiply(base)
-        return result
-
-    def max_index(self) -> int:
-        best = 0
-        for key in self.terms:
-            for var, _ in key:
-                if var != "t":
-                    best = max(best, var)
-        return best
-
-    def mentions_t(self) -> bool:
-        return any(var == "t" for key in self.terms for var, _ in key)
-
-    def to_poly(self, nvars: int) -> Poly:
-        out = {}
-        for key, c in self.terms.items():
-            exps = [0] * (nvars + 1)
-            for var, e in key:
-                slot = nvars if var == "t" else var - 1
-                exps[slot] += e
-            out[tuple(exps)] = out.get(tuple(exps), 0) + c
-        return Poly(nvars, out)
+def _index(name: str) -> int | None:
+    """The index of x<k> or of an alias; None for t and unknown names."""
+    match = re.fullmatch(r"x(\d+)", name)
+    return int(match.group(1)) if match else _ALIASES.get(name)
 
 
 class _PolyParser:
-    def __init__(self, tokens: _Tokens):
-        self.tokens = tokens
-        self.alias_positions: list[int] = []
+    """Recursive descent that builds :class:`Poly` values in ``nvars`` variables.
 
-    def parse_expr(self) -> _RawPoly:
+    ``noun`` says what ``nvars`` counts ("variable" or "component") in error
+    messages; ``t_error`` is the error for the name t, or None where t is
+    allowed.
+    """
+
+    def __init__(self, tokens: _Tokens, nvars: int, noun: str, t_error: str | None):
+        self.tokens = tokens
+        self.nvars = nvars
+        self.noun = noun
+        self.t_error = t_error
+
+    def parse_expr(self) -> Poly:
         kind, value, _ = self.tokens.peek()
         negate_first = kind == "op" and value == "-"
         if negate_first:
             self.tokens.next()
         result = self.parse_term()
         if negate_first:
-            result = result.negate()
+            result = -result
         while True:
             kind, value, _ = self.tokens.peek()
             if kind == "op" and value in "+-":
                 self.tokens.next()
                 term = self.parse_term()
-                result = result.add(term.negate() if value == "-" else term)
+                result = result - term if value == "-" else result + term
             else:
                 return result
 
-    def parse_term(self) -> _RawPoly:
+    def parse_term(self) -> Poly:
         result = self.parse_factor()
         while True:
             kind, value, _ = self.tokens.peek()
             if kind == "op" and value == "*":
                 self.tokens.next()
-                result = result.multiply(self.parse_factor())
+                result = result * self.parse_factor()
             elif kind in ("int", "name") or (kind == "op" and value == "("):
-                result = result.multiply(self.parse_factor())
+                result = result * self.parse_factor()
             else:
                 return result
 
-    def parse_factor(self) -> _RawPoly:
+    def parse_factor(self) -> Poly:
         result = self.parse_primary()
         while True:
             kind, value, _ = self.tokens.peek()
@@ -198,11 +152,11 @@ class _PolyParser:
                 kind, value, at = self.tokens.next()
                 if kind != "int":
                     raise ParseError("exponent must be a natural number", at)
-                result = result.power(int(value))
+                result = result ** int(value)
             else:
                 return result
 
-    def parse_primary(self) -> _RawPoly:
+    def parse_primary(self) -> Poly:
         kind, value, at = self.tokens.next()
         if kind == "int":
             numerator = int(value)
@@ -212,52 +166,44 @@ class _PolyParser:
                 dk, dv, dat = self.tokens.next()
                 if dk != "int" or int(dv) == 0:
                     raise ParseError("denominator must be a positive integer", dat)
-                return _RawPoly.constant(Fraction(numerator, int(dv)))
-            return _RawPoly.constant(Fraction(numerator))
+                return Poly.const(self.nvars, Fraction(numerator, int(dv)))
+            return Poly.const(self.nvars, numerator)
         if kind == "name":
-            return _RawPoly.variable(self._variable_key(value, at))
+            return self._variable(value, at)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.tokens.expect_op(")")
             return inner
         raise ParseError(f"expected a coefficient, variable, or '(', found {value or 'end of input'!r}", at)
 
-    def _variable_key(self, name: str, at: int):
+    def _variable(self, name: str, at: int) -> Poly:
         if name == "t":
-            return "t"
-        body = re.fullmatch(r"x(\d+)", name)
-        if body:
-            index = int(body.group(1))
-            if index == 0:
-                raise ParseError("variable indices start at 1", at)
-            return index
-        if name in _ALIASES:
-            self.alias_positions.append(at)
-            return _ALIASES[name]
-        raise ParseError(f"unknown variable {name!r}", at)
+            if self.t_error:
+                raise ParseError(self.t_error, at)
+            return Poly.t(self.nvars)
+        index = _index(name)
+        if index is None:
+            raise ParseError(f"unknown variable {name!r}", at)
+        if name in _ALIASES and self.nvars > 3:
+            raise ParseError(f"aliases x, y, z are only allowed with at most 3 {self.noun}s", at)
+        if index == 0:
+            raise ParseError("variable indices start at 1", at)
+        if index > self.nvars:
+            raise ParseError(
+                f"variable index {index} exceeds the {self.noun} count {self.nvars}", at
+            )
+        return Poly.variable(self.nvars, index)
 
 
 def parse_poly(text: str, nvars: int | None = None, allow_t: bool = True) -> Poly:
-    """Parse one polynomial; nvars defaults to the highest index used (min 1)."""
+    """Parse one polynomial; nvars defaults to the highest index named (min 1)."""
     tokens = _Tokens(text)
-    parser = _PolyParser(tokens)
-    raw = parser.parse_expr()
-    kind, value, at = tokens.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {value!r}", at)
-    if not allow_t and raw.mentions_t():
-        raise ParseError("the parameter t is not allowed here", 0)
-    needed = max(raw.max_index(), 1)
     if nvars is None:
-        nvars = needed
-    if needed > nvars:
-        raise ParseError(f"variable index {needed} exceeds {nvars} variables", 0)
-    if parser.alias_positions and nvars > 3:
-        raise ParseError(
-            "aliases x, y, z are only allowed with at most 3 variables",
-            parser.alias_positions[0],
-        )
-    return raw.to_poly(nvars)
+        nvars = tokens.highest_index()
+    t_error = None if allow_t else "the parameter t is not allowed here"
+    poly = _PolyParser(tokens, nvars, "variable", t_error).parse_expr()
+    tokens.expect_end()
+    return poly
 
 
 def parse_endo(text: str) -> Endo:
@@ -268,33 +214,20 @@ def parse_endo(text: str) -> Endo:
     """
     tokens = _Tokens(text)
     tokens.expect_op("[")
-    parser = _PolyParser(tokens)
-    raws = [parser.parse_expr()]
+    parser = _PolyParser(
+        tokens, tokens.component_count(), "component", "endomorphism components must not involve t"
+    )
+    components = [parser.parse_expr()]
     while True:
         kind, value, at = tokens.next()
         if kind == "op" and value == ",":
-            raws.append(parser.parse_expr())
+            components.append(parser.parse_expr())
         elif kind == "op" and value == "]":
             break
         else:
             raise ParseError(f"expected ',' or ']', found {value or 'end of input'!r}", at)
-    kind, value, at = tokens.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {value!r}", at)
-    n = len(raws)
-    for raw in raws:
-        if raw.mentions_t():
-            raise ParseError("endomorphism components must not involve t", 0)
-        if raw.max_index() > n:
-            raise ParseError(
-                f"variable index {raw.max_index()} exceeds the component count {n}", 0
-            )
-    if parser.alias_positions and n > 3:
-        raise ParseError(
-            "aliases x, y, z are only allowed with at most 3 components",
-            parser.alias_positions[0],
-        )
-    return Endo([raw.to_poly(n) for raw in raws])
+    tokens.expect_end()
+    return Endo(components)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -298,6 +298,13 @@ class Poly:
             return Poly.zero(self.nvars)
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial shifts every key of b: no collisions, no cancellation
+            [(ka, ca)] = a.items()
+            return Poly._make(
+                self.nvars,
+                {tuple(map(int.__add__, ka, kb)): _norm_coeff(ca * cb) for kb, cb in b.items()},
+            )
         shifts = tuple(i * _PACK_BITS for i in range(self.nvars + 1))
         pa = _pack_items(a, shifts)
         pb = _pack_items(b, shifts)
@@ -325,7 +332,8 @@ class Poly:
         return Poly._make(self.nvars, out)
 
     def _mul_tuple_keys(self, a, b) -> "Poly":
-        # fallback for exponents too large to pack (never hit by this package)
+        # runs when an operand with at least two terms has an exponent of
+        # 2**15 or more, e.g. a parsed x1^40000*(x1+x2)
         out: dict[tuple, Fraction] = {}
         get = out.get
         for k1, c1 in a.items():

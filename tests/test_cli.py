@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from polyauto import Poly
 from polyauto.cli import main
 
 
@@ -42,6 +43,23 @@ class TestInfo:
         expected = "jacobian determinant: 9999999999999999999*x1^9999999999999999998"
         assert expected in out.splitlines()
         assert elapsed < 5
+
+    def test_dense_power_is_fast_and_exact(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "info", "[(x1+x2)^800, x2]")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        x1, x2 = Poly.variables(2)
+        assert f"jacobian determinant: {800 * (x1 + x2) ** 799}" in out.splitlines()
+        assert elapsed < 5
+
+    def test_huge_index_fails_at_its_token(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "info", "[x99999999]")
+        assert code == 1
+        assert out == ""
+        assert "(at position 1)" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestCompose:

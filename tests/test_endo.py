@@ -1,6 +1,7 @@
 """Tests for the composition monoid of polynomial endomorphisms."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -269,6 +270,17 @@ class TestJacobian:
                 for _ in range(n)
             ]
             assert poly_det(dense).terms() == leibniz_det(dense)
+
+    def test_poly_det_of_a_dense_power(self):
+        # the determinant's 800 coefficients sit in one packed int between
+        # long runs of empty fields, which the decode must skip quickly
+        sigma = Endo([(x(2, 1) + x(2, 2)) ** 800, x(2, 2)])
+        (a, b), (c, d) = sigma.jacobian_matrix()
+        start = time.perf_counter()
+        det = poly_det([[a, b], [c, d]])
+        assert time.perf_counter() - start < 5
+        assert det == a * d - b * c
+        assert det == 800 * (x(2, 1) + x(2, 2)) ** 799
 
     def test_jacobian_det_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

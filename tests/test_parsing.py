@@ -1,6 +1,9 @@
 """Tests for the polynomial/endomorphism text formats."""
 
+import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +21,78 @@ from polyauto.parsing import (
 
 def x(nvars, i):
     return Poly.variable(nvars, i)
+
+
+# -- a stdlib oracle: random expression trees rendered to text and evaluated
+# with Fractions, independently of Poly
+
+_NAMES = {"x1": 0, "x2": 1, "x3": 2, "x": 0, "y": 1, "z": 2}
+
+
+def random_expr(rng, depth):
+    """(text, value) of a random expr; value maps (point, t) to a Fraction."""
+    terms = []
+    for k in range(rng.randint(1, 3)):
+        sign = rng.choice("+-") if k or rng.random() < 0.3 else "+"
+        terms.append((sign, random_term(rng, depth)))
+    text = " ".join(
+        (("-" if sign == "-" else "") if k == 0 else f"{sign} ") + body
+        for k, (sign, (body, _)) in enumerate(terms)
+    )
+
+    def value(point, t):
+        total = Fraction(0)
+        for sign, (_, term) in terms:
+            total += -term(point, t) if sign == "-" else term(point, t)
+        return total
+
+    return text, value
+
+
+def random_term(rng, depth):
+    factors = [random_factor(rng, depth) for _ in range(rng.randint(1, 3))]
+    # implicit products need a separator so that 2 3 and x1 2 stay two tokens
+    text = factors[0][0]
+    for body, _ in factors[1:]:
+        text += rng.choice(["*", " * ", " ", "" if body.startswith("(") else " "]) + body
+
+    def value(point, t):
+        product = Fraction(1)
+        for _, factor in factors:
+            product *= factor(point, t)
+        return product
+
+    return text, value
+
+
+def random_factor(rng, depth):
+    text, primary = random_primary(rng, depth)
+    exponents = [rng.randint(0, 3) for _ in range(rng.choice((0, 0, 1, 2)))]
+    text += "".join(f"^{e}" for e in exponents)
+
+    def value(point, t):
+        v = primary(point, t)
+        for e in exponents:  # a ^ chain associates to the left
+            v **= e
+        return v
+
+    return text, value
+
+
+def random_primary(rng, depth):
+    kind = rng.random()
+    if depth and kind < 0.3:
+        text, inner = random_expr(rng, depth - 1)
+        return f"({text})", inner
+    if kind < 0.55:
+        numerator, denominator = rng.randint(0, 12), rng.choice((1, 1, 2, 3, 7))
+        c = Fraction(numerator, denominator)
+        text = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+        return text, lambda point, t: c
+    name = rng.choice(list(_NAMES) + ["t"])
+    if name == "t":
+        return name, lambda point, t: t
+    return name, lambda point, t: point[_NAMES[name]]
 
 
 class TestParsePoly:
@@ -45,6 +120,9 @@ class TestParsePoly:
     def test_t_rejectable(self):
         with pytest.raises(ParseError):
             parse_poly("t*x1", nvars=1, allow_t=False)
+        with pytest.raises(ParseError) as info:
+            parse_poly("x1 + t - t", nvars=1, allow_t=False)
+        assert info.value.position == 5
 
     def test_aliases(self):
         assert parse_poly("x*y*z", nvars=3) == x(3, 1) * x(3, 2) * x(3, 3)
@@ -70,6 +148,27 @@ class TestParsePoly:
         with pytest.raises(ParseError):
             parse_poly("x1/2", nvars=1)
 
+    def test_random_expressions_match_fraction_oracle(self):
+        rng = random.Random(1962)
+        values = [Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(2, 3), Fraction(5)]
+        for _ in range(300):
+            text, value = random_expr(rng, 2)
+            poly = parse_poly(text, nvars=3)
+            for _ in range(3):
+                point = [rng.choice(values) for _ in range(3)]
+                t = rng.choice(values)
+                assert poly.evaluate(point, t) == value(point, t), text
+
+    def test_nvars_defaults_to_the_highest_index(self):
+        assert parse_poly("x3 - 1").nvars == 3
+        assert parse_poly("y").nvars == 2
+        assert parse_poly("7").nvars == 1
+
+    def test_index_beyond_nvars_fails_at_its_token(self):
+        with pytest.raises(ParseError) as info:
+            parse_poly("x1 + x5 - x5", nvars=2)
+        assert info.value.position == 5
+
 
 class TestParseEndo:
     def test_simple(self):
@@ -86,6 +185,27 @@ class TestParseEndo:
     def test_index_exceeding_component_count(self):
         with pytest.raises(ParseError):
             parse_endo("[x1 + x3, x2]")
+        # even when its terms cancel, at the token that names it
+        with pytest.raises(ParseError) as info:
+            parse_endo("[x1 + x3 - x3, x2]")
+        assert info.value.position == 6
+
+    def test_huge_index_fails_at_once(self):
+        # the count comes from the brackets, so no width is taken from x99999999
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_endo("[x99999999]")
+        assert time.perf_counter() - start < 1
+        assert info.value.position == 1
+        assert "99999999" in str(info.value)
+
+    def test_power_of_a_sum(self):
+        start = time.perf_counter()
+        sigma = parse_endo("[(x1+x2)^1000, x2]")
+        assert time.perf_counter() - start < 5
+        expected = {(k, 1000 - k, 0): comb(1000, k) for k in range(1001)}
+        assert sigma.components[0].terms() == expected
+        assert sigma.components[1] == x(2, 2)
 
     def test_alias_with_too_many_components(self):
         with pytest.raises(ParseError):
@@ -94,6 +214,9 @@ class TestParseEndo:
     def test_t_rejected(self):
         with pytest.raises(ParseError):
             parse_endo("[x1 + t, x2]")
+        with pytest.raises(ParseError) as info:
+            parse_endo("[x1 + t - t, x2]")
+        assert info.value.position == 6
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -117,6 +240,26 @@ class TestParseEndo:
             corpus.append(random_tame_word(n, seed, 1 + seed % 4, 3).to_endo())
         for sigma in corpus:
             assert parse_endo(str(sigma)) == sigma
+
+    def test_round_trip_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def endos(draw):
+            n = draw(st.integers(1, 4))
+            keys = st.tuples(*[st.integers(0, 6)] * n)
+            coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+            return Endo(
+                [Poly(n, draw(st.dictionaries(keys, coeffs, max_size=6))) for _ in range(n)]
+            )
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(endos())
+        def round_trip(sigma):
+            assert parse_endo(str(sigma)) == sigma
+
+        round_trip()
 
 
 class TestParseRational:

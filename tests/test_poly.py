@@ -319,3 +319,15 @@ class TestCanonicalForm:
         assert str(f1) == "-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 - 2*x1*x2*x3 - 2*x2^3 + x1"
         assert str(Poly.zero(3)) == "0"
         assert str(Poly.const(2, Fraction(-1, 2))) == "-1/2"
+
+    def test_one_term_products_keep_the_coefficient_invariant(self):
+        half_x1 = x(2, 1) / 2
+        product = half_x1 * (2 * x(2, 2) + Fraction(4, 3))
+        assert product.terms() == {(1, 1, 0): 1, (1, 0, 0): Fraction(2, 3)}
+        assert type(product.terms()[(1, 1, 0)]) is int
+        assert product == (2 * x(2, 2) + Fraction(4, 3)) * half_x1
+        for p in (product, Poly.const(2, Fraction(3, 2)) * (x(2, 1) * 2 + 4)):
+            for c in p.terms().values():
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+        # a monomial product never cancels and shifts every key
+        assert x(2, 1) * (x(2, 1) - x(2, 2)) == x(2, 1) ** 2 - x(2, 1) * x(2, 2)
