@@ -26,6 +26,7 @@ Poly's own arithmetic.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .endo import Endo
@@ -91,13 +92,28 @@ class _Tokens:
 
     def highest_index(self) -> int:
         """The largest variable index named in the text, at least 1."""
-        return max([1] + [_index(value) or 1 for kind, value, _ in self.items if kind == "name"])
+        return max(
+            [1] + [_index(value, at) or 1 for kind, value, at in self.items if kind == "name"]
+        )
 
 
-def _index(name: str) -> int | None:
+def _index(name: str, at: int) -> int | None:
     """The index of x<k> or of an alias; None for t and unknown names."""
     match = re.fullmatch(r"x(\d+)", name)
-    return int(match.group(1)) if match else _ALIASES.get(name)
+    return _int(match.group(1), at) if match else _ALIASES.get(name)
+
+
+def _int(digits: str, at: int) -> int:
+    """The value of a digit string, or a ParseError at ``at`` when it has
+    more digits than Python converts (``sys.get_int_max_str_digits()``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"a number of {len(digits)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            at,
+        ) from None
 
 
 class _PolyParser:
@@ -152,21 +168,21 @@ class _PolyParser:
                 kind, value, at = self.tokens.next()
                 if kind != "int":
                     raise ParseError("exponent must be a natural number", at)
-                result = result ** int(value)
+                result = result ** _int(value, at)
             else:
                 return result
 
     def parse_primary(self) -> Poly:
         kind, value, at = self.tokens.next()
         if kind == "int":
-            numerator = int(value)
+            numerator = _int(value, at)
             nk, nv, _ = self.tokens.peek()
             if nk == "op" and nv == "/":
                 self.tokens.next()
                 dk, dv, dat = self.tokens.next()
-                if dk != "int" or int(dv) == 0:
+                if dk != "int" or _int(dv, dat) == 0:
                     raise ParseError("denominator must be a positive integer", dat)
-                return Poly.const(self.nvars, Fraction(numerator, int(dv)))
+                return Poly.const(self.nvars, Fraction(numerator, _int(dv, dat)))
             return Poly.const(self.nvars, numerator)
         if kind == "name":
             return self._variable(value, at)
@@ -181,7 +197,7 @@ class _PolyParser:
             if self.t_error:
                 raise ParseError(self.t_error, at)
             return Poly.t(self.nvars)
-        index = _index(name)
+        index = _index(name, at)
         if index is None:
             raise ParseError(f"unknown variable {name!r}", at)
         if name in _ALIASES and self.nvars > 3:
@@ -230,22 +246,25 @@ def parse_endo(text: str) -> Endo:
     return Endo(components)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an integer or integer/positive-integer ratio, with optional sign."""
-    body = text.strip()
-    match = re.fullmatch(r"(-?\d+)(?:/(\d+))?", body)
+def parse_rational(text: str, offset: int = 0) -> Fraction:
+    """Parse an integer or integer/positive-integer ratio, with optional sign.
+
+    ``offset`` is where ``text`` starts in a longer input; error positions
+    count from there.
+    """
+    match = re.fullmatch(r"\s*(-?\d+)(?:/(\d+))?\s*", text)
     if not match:
-        raise ParseError(f"not a rational number: {text!r}", 0)
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
+        raise ParseError(f"not a rational number: {text!r}", offset)
+    numerator = _int(match.group(1), offset + match.start(1))
+    denominator = _int(match.group(2), offset + match.start(2)) if match.group(2) else 1
     if denominator == 0:
-        raise ParseError("denominator must be positive", 0)
+        raise ParseError("denominator must be positive", offset + match.start(2))
     return Fraction(numerator, denominator)
 
 
 def parse_rational_list(text: str) -> list[Fraction]:
     """Comma-separated rationals, e.g. '1,-1,1/2'."""
-    parts = [chunk for chunk in text.split(",") if chunk.strip()]
+    parts = [chunk for chunk in re.finditer(r"[^,]+", text) if chunk.group().strip()]
     if not parts:
         raise ParseError("expected at least one rational number", 0)
-    return [parse_rational(chunk) for chunk in parts]
+    return [parse_rational(chunk.group(), chunk.start()) for chunk in parts]

@@ -25,6 +25,7 @@ it is supplied.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import DimensionError, UndefinedValuation
@@ -36,13 +37,6 @@ NEG_INF = float("-inf")
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-
-# Packed-exponent multiplication: each exponent occupies a 16-bit field, so
-# operands must keep every exponent below 2**15 for the field sums not to
-# carry.  Inputs beyond that fall back to tuple arithmetic.
-_PACK_BITS = 16
-_PACK_MASK = (1 << _PACK_BITS) - 1
-_PACK_LIMIT = 1 << (_PACK_BITS - 1)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -58,20 +52,6 @@ def _norm_coeff(value):
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value
-
-
-def _pack_items(terms, shifts):
-    out = []
-    append = out.append
-    for key, c in terms.items():
-        packed = 0
-        for e, s in zip(key, shifts):
-            if e:
-                if e >= _PACK_LIMIT:
-                    return None
-                packed |= e << s
-        append((packed, c))
-    return out
 
 
 class Poly:
@@ -305,14 +285,15 @@ class Poly:
                 self.nvars,
                 {tuple(map(int.__add__, ka, kb)): _norm_coeff(ca * cb) for kb, cb in b.items()},
             )
-        shifts = tuple(i * _PACK_BITS for i in range(self.nvars + 1))
-        pa = _pack_items(a, shifts)
-        pb = _pack_items(b, shifts)
-        if pa is None or pb is None:
-            return self._mul_tuple_keys(a, b)
+        # every exponent of the product is at most the sum of the operands'
+        # largest exponents, so fields of that sum's width never carry
+        width = (max(map(max, a)) + max(map(max, b))).bit_length()
+        offsets = range(0, width * (self.nvars + 1), width)
+        pb = [(sum(map(lshift, kb, offsets)), cb) for kb, cb in b.items()]
         acc: dict[int, Fraction] = {}
         get = acc.get
-        for ka, ca in pa:
+        for ka, ca in a.items():
+            ka = sum(map(lshift, ka, offsets))
             for kb, cb in pb:
                 key = ka + kb
                 c = ca * cb
@@ -325,30 +306,11 @@ class Poly:
                         acc[key] = s
                     else:
                         del acc[key]
+        mask = (1 << width) - 1
         out = {
-            tuple((p >> s) & _PACK_MASK for s in shifts): _norm_coeff(c)
+            tuple((p >> s) & mask for s in offsets): _norm_coeff(c)
             for p, c in acc.items()
         }
-        return Poly._make(self.nvars, out)
-
-    def _mul_tuple_keys(self, a, b) -> "Poly":
-        # runs when an operand with at least two terms has an exponent of
-        # 2**15 or more, e.g. a parsed x1^40000*(x1+x2)
-        out: dict[tuple, Fraction] = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                key = tuple(map(int.__add__, k1, k2))
-                c = c1 * c2
-                acc = get(key)
-                if acc is None:
-                    out[key] = c
-                else:
-                    s = acc + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
         return Poly._make(self.nvars, out)
 
     __rmul__ = __mul__

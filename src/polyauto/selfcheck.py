@@ -18,10 +18,9 @@ from fractions import Fraction
 from .degeneration import (
     degenerate,
     degeneration_data,
-    normalize,
     torus_conjugate,
     triangular_witness,
-    verify_limit,
+    witness_report,
 )
 from .endo import Endo
 from .errors import AlgebraError, DegenerateInput, NotAnAutomorphism
@@ -130,31 +129,20 @@ def nagata_golden() -> SuiteResult:
 def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
     """One pass over the tame schedule: pipeline checks, then curve rigidity.
 
-    The first result covers normalization/obstruction/valuation bounds,
-    exact clearing of the parameter powers, limit verification, and the
-    triangular non-affine shape of the witness.  The second covers degree
-    rigidity and Jacobian constancy at t0 in {1, -1, 2, 1/2}.
+    The first result covers :func:`witness_report`, which raises on a bad
+    normalization, a zero obstruction, a valuation out of bounds, inexact
+    clearing of the parameter powers, disagreeing limit paths or a failed
+    limit verification, and the triangular non-affine shape of the
+    witness.  The second covers degree rigidity and Jacobian constancy at
+    t0 in {1, -1, 2, 1/2}.
     """
     pipeline = SuiteResult("degeneration-pipeline", cases)
     rigidity = SuiteResult("curve-rigidity", cases)
     start = time.perf_counter()
     for k in range(cases):
         try:
-            phi = sample_tame_case(k)
-            psi = normalize(phi).result
-            data = degeneration_data(psi)
-            if data.obstruction.is_zero:
-                pipeline.failures.append(f"case {k}: zero obstruction")
-                continue
-            if not 2 <= data.valuation <= data.source_degree:
-                pipeline.failures.append(f"case {k}: valuation {data.valuation}")
-                continue
-            curve = torus_conjugate(psi, data.valuation)
-            witness = degenerate(psi)
-            report = verify_limit(curve, witness)
-            if not report.passed:
-                pipeline.failures.append(f"case {k}: limit verification {report.valuations}")
-                continue
+            report = witness_report(sample_tame_case(k))
+            witness = report.witness
             if not witness.is_triangular() or witness.is_affine():
                 pipeline.failures.append(f"case {k}: witness shape {witness}")
                 continue
@@ -164,6 +152,7 @@ def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
         mid = time.perf_counter()
         pipeline.seconds += mid - start
         start = mid
+        psi, data, curve = report.normalization.result, report.data, report.curve
         try:
             source_jacobian = psi.jacobian_det()
             for t0 in (1, -1, 2, Fraction(1, 2)):

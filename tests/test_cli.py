@@ -61,6 +61,23 @@ class TestInfo:
         assert "(at position 1)" in err
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (("info", "[x1^" + "9" * 5000 + ", x2]"), 4),
+            (("info", "[" + "9" * 5000 + "*x1, x2]"), 1),
+            (("info", "[x" + "9" * 5000 + ", x2]"), 1),
+            (("apply", "[x1, x2]", "1/" + "9" * 5000), 2),
+        ],
+    )
+    def test_digit_strings_past_the_int_limit(self, capsys, argv, position):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("parse error:")
+        assert f"(at position {position})" in err
+        assert "Traceback" not in err
+
 
 class TestCompose:
     def test_orientation(self, capsys):

@@ -1,6 +1,7 @@
 """Tests for the polynomial/endomorphism text formats."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -21,6 +22,10 @@ from polyauto.parsing import (
 
 def x(nvars, i):
     return Poly.variable(nvars, i)
+
+
+# one digit more than Python converts from a string by default
+LONG = "9" * 5000
 
 
 # -- a stdlib oracle: random expression trees rendered to text and evaluated
@@ -199,6 +204,23 @@ class TestParseEndo:
         assert info.value.position == 1
         assert "99999999" in str(info.value)
 
+    def test_digit_strings_past_the_int_limit_fail_at_their_token(self):
+        cases = [
+            (f"[x1^{LONG}, x2]", 4),
+            (f"[{LONG}*x1, x2]", 1),
+            (f"[1/{LONG}*x1, x2]", 3),
+            (f"[x{LONG}, x2]", 1),
+        ]
+        for text, position in cases:
+            with pytest.raises(ParseError) as info:
+                parse_endo(text)
+            assert info.value.position == position
+            assert f"limit of {sys.get_int_max_str_digits()} digits" in str(info.value)
+        # a lone polynomial reads every index before parsing
+        with pytest.raises(ParseError) as info:
+            parse_poly(f"x1 + x{LONG}")
+        assert info.value.position == 5
+
     def test_power_of_a_sum(self):
         start = time.perf_counter()
         sigma = parse_endo("[(x1+x2)^1000, x2]")
@@ -281,3 +303,16 @@ class TestParseRational:
         assert parse_rational_list("1,-1,1/2") == [1, -1, Fraction(1, 2)]
         with pytest.raises(ParseError):
             parse_rational_list(",")
+
+    def test_digit_strings_past_the_int_limit(self):
+        for text, position in ((f"1/{LONG}", 2), (f" {LONG}", 1)):
+            with pytest.raises(ParseError) as info:
+                parse_rational(text)
+            assert info.value.position == position
+        # positions count across the whole list
+        with pytest.raises(ParseError) as info:
+            parse_rational_list(f"1, -{LONG}")
+        assert info.value.position == 3
+        with pytest.raises(ParseError) as info:
+            parse_rational_list("1,2/0")
+        assert info.value.position == 4

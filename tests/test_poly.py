@@ -8,11 +8,13 @@ finite-difference quotient built from the t parameter).
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from polyauto import NEG_INF, Poly
 from polyauto.errors import DimensionError, UndefinedValuation
+from polyauto.parsing import parse_poly
 
 
 def x(nvars, i):
@@ -102,6 +104,52 @@ class TestRingOperations:
         p = random_poly(rng, 2, 3, 4)
         assert p**0 == Poly.const(2, 1)
         assert p**3 == p * p * p
+
+
+def dict_convolution(p, q):
+    """Reference product on plain term dicts: keys add slot by slot."""
+    out = {}
+    for ka, ca in p.terms().items():
+        for kb, cb in q.terms().items():
+            key = tuple(map(add, ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+# small exponents, both sides of 16-bit fields, and one past 64 bits
+WIDE_EXPONENTS = (0, 1, 2, 3, 2**15 - 1, 2**15, 2**16, 10**19)
+
+
+class TestPackedProduct:
+    def random_operand(self, rng, nvars):
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            key = tuple(rng.choice(WIDE_EXPONENTS) for _ in range(nvars + 1))
+            terms[key] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+        return Poly(nvars, terms)
+
+    def test_matches_dict_convolution(self):
+        rng = random.Random(404)
+        cancelled = 0
+        for case in range(400):
+            nvars = 1 + case % 4
+            p = self.random_operand(rng, nvars)
+            q = self.random_operand(rng, nvars)
+            if case % 3 == 0:
+                # (m + r)(m - r): the cross terms cancel
+                q = p - 2 * Poly(nvars, dict(list(p.terms().items())[1:]))
+            expected = dict_convolution(p, q)
+            product = p * q
+            assert product.terms() == expected
+            for c in product.terms().values():
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+            keys = {tuple(map(add, ka, kb)) for ka in p.terms() for kb in q.terms()}
+            cancelled += len(expected) < len(keys)
+        assert cancelled > 50
+
+    def test_wide_exponent_square(self):
+        p = parse_poly("x1^40000*(x1+x2)") ** 2
+        assert p.terms() == {(80002, 0, 0): 1, (80001, 1, 0): 2, (80000, 2, 0): 1}
 
 
 class TestDegrees:
