@@ -120,8 +120,9 @@ class Endo:
             raise DimensionError("can only compose with another endomorphism")
         if self.n != other.n:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
-        images = list(other.components)
-        return Endo([f.substitute(images) for f in self.components])
+        # one power table per image, shared by every component
+        tables = [{1: g} for g in other.components] + [{1: Poly.t(self.n)}]
+        return Endo([f._substitute(tables) for f in self.components])
 
     def __mul__(self, other):
         if isinstance(other, Endo):

@@ -24,11 +24,12 @@ it is supplied.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import DimensionError, UndefinedValuation
+from .errors import AlgebraError, DimensionError, UndefinedValuation
 
 #: Degree of the zero polynomial.  A genuine minus infinity (never -1), so
 #: degree arithmetic like deg(p*q) == deg(p) + deg(q) stays exceptionless.
@@ -52,6 +53,20 @@ def _norm_coeff(value):
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _power(table: dict[int, "Poly"], e: int) -> "Poly":
+    # table maps exponents to known powers of table[1].  The chain steps down
+    # from e, to e - 1 when e is odd and to e // 2 when even, until it meets a
+    # known power; the powers on it are then built back up and stored.  A loop:
+    # a k-bit exponent's chain has up to 2k steps, past the recursion limit.
+    chain = []
+    while e not in table:
+        chain.append(e)
+        e = e - 1 if e & 1 else e >> 1
+    for e in reversed(chain):
+        table[e] = table[e - 1] * table[1] if e & 1 else table[e >> 1] * table[e >> 1]
+    return table[e]
 
 
 class Poly:
@@ -329,16 +344,7 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a non-negative integer exponent")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power({0: Poly.const(self.nvars, 1), 1: self}, exponent)
 
     # -- calculus and substitution ------------------------------------------
 
@@ -370,32 +376,18 @@ class Poly:
                 raise DimensionError("every substitution image must share nvars")
         if t_image is not None and t_image.nvars != self.nvars:
             raise DimensionError("t image must share nvars")
+        t_base = t_image if t_image is not None else Poly.t(self.nvars)
+        return self._substitute([{1: g} for g in images] + [{1: t_base}])
+
+    def _substitute(self, tables: Sequence[dict[int, "Poly"]]) -> "Poly":
+        # tables[slot] holds the known powers of that slot's image (see _power)
         n = self.nvars
-        caches: list[dict[int, Poly]] = [dict() for _ in range(n + 1)]
-        bases = list(images) + [t_image if t_image is not None else Poly.t(n)]
-
-        def power(slot: int, e: int) -> Poly:
-            cache = caches[slot]
-            hit = cache.get(e)
-            if hit is not None:
-                return hit
-            if e == 1:
-                p = bases[slot]
-            elif e % 2:
-                p = power(slot, e - 1) * bases[slot]
-            else:
-                half = power(slot, e // 2)
-                p = half * half
-            cache[e] = p
-            return p
-
         total = Poly.zero(n)
         for key, c in self._terms.items():
             prod = Poly.const(n, c)
-            for slot in range(n + 1):
-                e = key[slot]
+            for e, table in zip(key, tables):
                 if e:
-                    prod = prod * power(slot, e)
+                    prod = prod * _power(table, e)
             total = total + prod
         return total
 
@@ -474,31 +466,35 @@ class Poly:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for key, coeff in self.sorted_terms():
-            factors = []
-            for i in range(self.nvars):
-                e = key[i]
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e:
-                    factors.append(f"x{i + 1}^{e}")
-            et = key[-1]
-            if et == 1:
-                factors.append("t")
-            elif et:
-                factors.append(f"t^{et}")
-            mono = "*".join(factors)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        try:
+            for key, coeff in self.sorted_terms():
+                factors = []
+                for i in range(self.nvars):
+                    e = key[i]
+                    if e == 1:
+                        factors.append(f"x{i + 1}")
+                    elif e:
+                        factors.append(f"x{i + 1}^{e}")
+                et = key[-1]
+                if et == 1:
+                    factors.append("t")
+                elif et:
+                    factors.append(f"t^{et}")
+                mono = "*".join(factors)
+                mag = abs(coeff)
+                if not mono:
+                    body = str(mag)
+                elif mag == 1:
+                    body = mono
+                else:
+                    body = f"{mag}*{mono}"
+                if not chunks:
+                    chunks.append(body if coeff > 0 else f"-{body}")
+                else:
+                    chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise AlgebraError(f"cannot render a number of more than {limit} digits") from None
         return " ".join(chunks)
 
     def __repr__(self) -> str:

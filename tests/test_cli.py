@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -79,11 +80,39 @@ class TestInfo:
         assert "Traceback" not in err
 
 
+class TestIntStringLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("info", "[(2*x1)^15000, x2]"),
+            ("info", "[(1/3*x1)^10000, x2]"),
+            ("compose", "[x1^2, x2]", "[x1^" + "9" * 4300 + ", x2]"),
+        ],
+        ids=["coefficient", "denominator", "exponent"],
+    )
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_rendering_fails_with_one_error_line(self, capsys, argv, as_json):
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert str(sys.get_int_max_str_digits()) in err
+
+
 class TestCompose:
     def test_orientation(self, capsys):
         code, out, _ = run_cli(capsys, "compose", "[x2, x1]", "[x1 + x2^2, x2]")
         assert code == 0
         assert out.strip() == "[x2, x2^2 + x1]"
+
+    def test_exponent_past_the_recursion_limit(self, capsys):
+        e = "9" * 400
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "compose", f"[x1^{e}, x2]", "[x2, x1]")
+        assert code == 0
+        assert out == f"[x2^{e}, x1]\n"
+        assert time.perf_counter() - start < 5
 
     def test_needs_two(self, capsys):
         code, _, err = run_cli(capsys, "compose", "[x1, x2]")
@@ -109,6 +138,14 @@ class TestDegenerate:
         assert code == 0
         assert "witness: [x2^2 + x1, x2]" in out
         assert "w = 2" in out
+
+    def test_exponent_past_the_recursion_limit(self, capsys):
+        e = "9" * 400
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "degenerate", f"[x1 + x2^{e}, x2]")
+        assert code == 0
+        assert f"w = {e}" in out.splitlines()
+        assert time.perf_counter() - start < 5
 
     def test_affine_input_is_certified_failure(self, capsys):
         code, out, _ = run_cli(capsys, "degenerate", "[x1 + x2, x2]")

@@ -40,6 +40,7 @@ from polyauto.errors import (
     SingularAffinePart,
 )
 from polyauto.groups import nagata, random_tame_word
+from polyauto.parsing import parse_endo
 
 
 def x(nvars, i):
@@ -287,6 +288,12 @@ class TestWitnessReport:
         assert report.data.valuation == 3
         assert report.limit_report.passed
         assert report.normalization.result == forward
+
+    def test_exponent_past_the_recursion_limit(self):
+        # conjugating x2^E takes a power chain of over 2000 steps
+        e = 10**400 - 1
+        report = witness_report(parse_endo(f"[x1 + x2^{e}, x2]"))
+        assert report.data.valuation == e
 
 
 def sample_suite_case(k, cap=800):

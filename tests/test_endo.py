@@ -130,6 +130,39 @@ class TestComposition:
             s, u, v = (random_endo(rng, n) for _ in range(3))
             assert s.compose(u).compose(v) == s.compose(u.compose(v))
 
+    def test_matches_substitution_per_component(self):
+        # compose shares one power table per image across the components
+        rng = random.Random(99)
+        for _ in range(30):
+            n = rng.choice([2, 3, 4])
+            s, u = random_endo(rng, n, 5, 5), random_endo(rng, n, 3, 3)
+            images = list(u.components)
+            assert s.compose(u) == Endo([f.substitute(images) for f in s.components])
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(101)
+        for _ in range(20):
+            n = rng.choice([2, 3])
+            s, u = (
+                Endo([f / rng.randint(1, 4) for f in random_endo(rng, n, 4, 4).components])
+                for _ in range(2)
+            )
+            symbols = sympy.symbols(f"x1:{n + 1}")
+
+            def to_sympy(f):
+                return sympy.Add(
+                    *(
+                        sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*(v**e for v, e in zip(symbols, key)))
+                        for key, c in f.terms().items()
+                    )
+                )
+
+            mapping = {v: to_sympy(g) for v, g in zip(symbols, u.components)}
+            for f, h in zip(s.components, s.compose(u).components):
+                assert sympy.expand(to_sympy(f).xreplace(mapping) - to_sympy(h)) == 0
+
     def test_degree_submultiplicative(self):
         rng = random.Random(88)
         for _ in range(30):

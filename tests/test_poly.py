@@ -7,13 +7,14 @@ finite-difference quotient built from the t parameter).
 """
 
 import random
+import sys
 from fractions import Fraction
 from operator import add
 
 import pytest
 
 from polyauto import NEG_INF, Poly
-from polyauto.errors import DimensionError, UndefinedValuation
+from polyauto.errors import AlgebraError, DimensionError, UndefinedValuation
 from polyauto.parsing import parse_poly
 
 
@@ -32,6 +33,18 @@ def random_poly(rng, nvars, max_degree, max_terms, with_t=False):
             key[-1] = rng.randint(0, 2)
         terms[tuple(key)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     return Poly(nvars, terms)
+
+
+def to_sympy(sympy, p):
+    """p as a sympy expression in x1..xn and t."""
+    symbols = sympy.symbols(f"x1:{p.nvars + 1}") + (sympy.Symbol("t"),)
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v**e for v, e in zip(symbols, key)))
+            for key, c in p.terms().items()
+        )
+    )
 
 
 def random_point(rng, nvars):
@@ -104,6 +117,16 @@ class TestRingOperations:
         p = random_poly(rng, 2, 3, 4)
         assert p**0 == Poly.const(2, 1)
         assert p**3 == p * p * p
+
+    def test_power_against_repeated_products(self):
+        # negative and Fraction coefficients, t, and every exponent 0..12
+        rng = random.Random(512)
+        for case in range(12):
+            p = random_poly(rng, 1 + case % 3, 2, 3, with_t=True)
+            expected = Poly.const(p.nvars, 1)
+            for e in range(13):
+                assert p**e == expected
+                expected = expected * p
 
 
 def dict_convolution(p, q):
@@ -287,6 +310,30 @@ class TestSubstitution:
         with pytest.raises(DimensionError):
             x(2, 1).substitute([x(2, 1)])
 
+    def test_exponent_past_the_recursion_limit(self):
+        # the power chain of a 400-digit exponent is over 2000 steps long
+        e = "9" * 400
+        p = parse_poly(f"x1^{e}", 2)
+        assert p.substitute([x(2, 2), x(2, 1)]) == parse_poly(f"x2^{e}", 2)
+
+    @pytest.mark.parametrize("with_t_image", [False, True])
+    def test_matches_sympy(self, with_t_image):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(606 + with_t_image)
+        for case in range(30):
+            nvars = 1 + case % 3
+            p = random_poly(rng, nvars, 4, 5, with_t=True)
+            images = [random_poly(rng, nvars, 2, 3, with_t=True) for _ in range(nvars)]
+            t_image = random_poly(rng, nvars, 1, 2, with_t=True) if with_t_image else None
+            symbols = sympy.symbols(f"x1:{nvars + 1}")
+            t = sympy.Symbol("t")
+            mapping = {v: to_sympy(sympy, g) for v, g in zip(symbols, images)}
+            if with_t_image:
+                mapping[t] = to_sympy(sympy, t_image)
+            expected = to_sympy(sympy, p).xreplace(mapping)
+            result = p.substitute(images, t_image)
+            assert sympy.expand(expected - to_sympy(sympy, result)) == 0
+
     def test_substitute_then_evaluate_commutes(self):
         rng = random.Random(404)
         for _ in range(25):
@@ -340,6 +387,19 @@ class TestTParameter:
         with pytest.raises(ValueError):
             p.divide_t(1)
 
+    def test_with_t_set_and_divide_t_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(707)
+        for case in range(40):
+            p = random_poly(rng, 1 + case % 3, 4, 6, with_t=True)
+            value = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            expected = to_sympy(sympy, p).subs(t, sympy.Rational(value.numerator, value.denominator))
+            assert sympy.expand(expected - to_sympy(sympy, p.with_t_set(value))) == 0
+            k = p.t_valuation() if p else 0
+            expected = sympy.cancel(to_sympy(sympy, p) / t**k)
+            assert sympy.expand(expected - to_sympy(sympy, p.divide_t(k))) == 0
+
     def test_t_valuation(self):
         p = Poly.t(1) ** 2 * x(1, 1) + Poly.t(1) ** 5
         assert p.t_valuation() == 2
@@ -379,3 +439,16 @@ class TestCanonicalForm:
                 assert type(c) is (int if c.denominator == 1 else Fraction)
         # a monomial product never cancels and shifts every key
         assert x(2, 1) * (x(2, 1) - x(2, 2)) == x(2, 1) ** 2 - x(2, 1) * x(2, 2)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            (2 * x(2, 1)) ** 15000,
+            (x(2, 1) / 3) ** 10000,
+            x(2, 1) ** (10**4300),
+        ],
+        ids=["coefficient", "denominator", "exponent"],
+    )
+    def test_numbers_past_the_int_string_limit(self, p):
+        with pytest.raises(AlgebraError, match=str(sys.get_int_max_str_digits())):
+            str(p)
