@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from math import inf
 
-from .degeneration import closure_witness, witness_report
+from .degeneration import _closure_samples, witness_report
 from .endo import Endo
 from .errors import (
     AlgebraError,
@@ -230,7 +230,9 @@ def _cmd_curve(args) -> int:
     sigma = _load_endo(args.endo)
     samples = parse_rational_list(args.samples)
     report = witness_report(sigma)
-    witnesses = closure_witness(sigma, samples)
+    witnesses = _closure_samples(
+        report.normalization.result, report.data, report.curve, samples
+    )
     payload = _report_json(report)
     payload["samples"] = [
         {"t0": str(s.t0), "endo": str(s.image), "degree": s.image.degree()}

@@ -402,10 +402,16 @@ def closure_witness(phi: Endo, samples: Sequence[Scalar]) -> list[ClosureSample]
     must equal torus_map^-1 after psi after torus_map and must have the
     degree of psi; both facts are checked before the sample is emitted.
     """
-    record = normalize(phi)
-    psi = record.result
+    psi = normalize(phi).result
     data = degeneration_data(psi)
-    curve = torus_conjugate(psi, data.valuation)
+    return _closure_samples(psi, data, torus_conjugate(psi, data.valuation), samples)
+
+
+def _closure_samples(
+    psi: Endo, data: DegenerationData, curve: ParamEndo, samples: Sequence[Scalar]
+) -> list[ClosureSample]:
+    """The checked samples of :func:`closure_witness`, given the normalized psi,
+    its degeneration data and its conjugated curve (as a WitnessReport holds)."""
     action = TorusAction(psi.n, data.valuation)
     out = []
     for raw in samples:

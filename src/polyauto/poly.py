@@ -41,16 +41,18 @@ _ZERO = Fraction(0)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    # int first: isinstance(int, Fraction) runs ABCMeta.__instancecheck__
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _norm_coeff(value):
-    # ints are much cheaper than Fractions; demote exact integers
-    if isinstance(value, Fraction) and value.denominator == 1:
+    # ints are much cheaper than Fractions; demote exact integers (an exact
+    # type test: isinstance(int, Fraction) runs ABCMeta.__instancecheck__)
+    if type(value) is not int and value.denominator == 1:
         return value.numerator
     return value
 
@@ -119,7 +121,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "Poly":
-        c = _norm_coeff(_as_fraction(value))
+        c = value if type(value) is int else _norm_coeff(_as_fraction(value))
         if not c:
             return cls.zero(nvars)
         return cls._make(nvars, {(0,) * (nvars + 1): c})
@@ -357,8 +359,10 @@ class Poly:
         for key, c in self._terms.items():
             e = key[i]
             if e:
-                nk = key[:i] + (e - 1,) + key[i + 1 :]
-                out[nk] = _norm_coeff(c * e)
+                nk = list(key)
+                nk[i] = e - 1
+                c *= e
+                out[tuple(nk)] = _norm_coeff(c) if type(c) is Fraction else c
         return Poly._make(self.nvars, out)
 
     def substitute(self, images: Sequence["Poly"], t_image: "Poly | None" = None) -> "Poly":
@@ -380,35 +384,42 @@ class Poly:
         return self._substitute([{1: g} for g in images] + [{1: t_base}])
 
     def _substitute(self, tables: Sequence[dict[int, "Poly"]]) -> "Poly":
-        # tables[slot] holds the known powers of that slot's image (see _power)
-        n = self.nvars
-        total = Poly.zero(n)
+        # tables[slot] holds the known powers of that slot's image (see _power).
+        # Each term's c * v lands in one accumulator, unnormalized: sums may
+        # cancel to 0 or to an integral Fraction, so zeros are dropped and
+        # _norm_coeff runs once per output term, not once per product.
+        zero_key = (0,) * (self.nvars + 1)
+        acc: dict[tuple, Scalar] = {}
+        get = acc.get
         for key, c in self._terms.items():
-            prod = Poly.const(n, c)
+            prod = None
             for e, table in zip(key, tables):
                 if e:
-                    prod = prod * _power(table, e)
-            total = total + prod
-        return total
+                    power = _power(table, e)
+                    prod = power if prod is None else prod * power
+            for k, v in ({zero_key: 1} if prod is None else prod._terms).items():
+                v = c * v
+                old = get(k)
+                acc[k] = v if old is None else old + v
+        return Poly._make(self.nvars, {k: _norm_coeff(v) for k, v in acc.items() if v})
 
     def with_t_set(self, value: Scalar) -> "Poly":
         """Specialize t to an exact rational value."""
-        v = _as_fraction(value)
-        out: dict[tuple, Fraction] = {}
-        zero_t = (0,)
+        v = _norm_coeff(_as_fraction(value))
+        t_powers = {}
+        acc: dict[tuple, Scalar] = {}
+        get = acc.get
         for key, c in self._terms.items():
             e = key[-1]
-            nk = key[:-1] + zero_t
-            nc = _norm_coeff(c * v**e) if e else c
-            if not nc:
-                continue
-            acc = out.get(nk)
-            s = nc if acc is None else acc + nc
-            if s:
-                out[nk] = s
-            else:
-                out.pop(nk, None)
-        return Poly._make(self.nvars, out)
+            if e:
+                f = t_powers.get(e)
+                if f is None:
+                    f = t_powers[e] = v**e
+                c = f * c
+            nk = key[:-1] + (0,)
+            old = get(nk)
+            acc[nk] = c if old is None else old + c
+        return Poly._make(self.nvars, {k: _norm_coeff(c) for k, c in acc.items() if c})
 
     def divide_t(self, power: int) -> "Poly":
         """Exact division by t**power; every term must carry at least that power."""

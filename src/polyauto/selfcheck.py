@@ -134,7 +134,8 @@ def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
     clearing of the parameter powers, disagreeing limit paths or a failed
     limit verification, and the triangular non-affine shape of the
     witness.  The second covers degree rigidity and Jacobian constancy at
-    t0 in {1, -1, 2, 1/2}.
+    t0 in {1, -1, 2, 1/2}; at t0 = 1 the image must equal the source
+    exactly, so the source's determinant serves as its own.
     """
     pipeline = SuiteResult("degeneration-pipeline", cases)
     rigidity = SuiteResult("curve-rigidity", cases)
@@ -160,7 +161,11 @@ def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
                 if image.degree() != data.source_degree:
                     rigidity.failures.append(f"case {k}: degree drift at t={t0}")
                     break
-                if image.jacobian_det() != source_jacobian:
+                # at t = 1 the image is psi itself, so its determinant is known
+                if t0 == 1 and image != psi:
+                    rigidity.failures.append(f"case {k}: t=1 is not the source")
+                    break
+                if t0 != 1 and image.jacobian_det() != source_jacobian:
                     rigidity.failures.append(f"case {k}: jacobian drift at t={t0}")
                     break
             else:

@@ -11,6 +11,7 @@ import pytest
 from polyauto import Poly, selfcheck
 from polyauto.endo import CoeffVector, Endo, monomials_upto, poly_det
 from polyauto.errors import DegenerateInput, DimensionError, FiltrationError
+from test_poly import assert_canonical, dict_substitute
 
 
 def x(nvars, i):
@@ -138,6 +139,27 @@ class TestComposition:
             s, u = random_endo(rng, n, 5, 5), random_endo(rng, n, 3, 3)
             images = list(u.components)
             assert s.compose(u) == Endo([f.substitute(images) for f in s.components])
+
+    def test_matches_dict_oracle(self):
+        x1, x2, x3 = Poly.variables(3)
+        g = x2 / 2 + x3
+        # equal images cancel x1 - x2; 3*x1 squared over 3 comes out integral
+        hand = Endo([x1 - x2 + 1, x1 * x3 / 2, x3**2 / 3 + x1 * x2])
+        cases = [(hand, Endo([g, g, 3 * x1])), (hand, Endo([Poly.zero(3), x2, x1 + x3]))]
+        rng = random.Random(111)
+        for _ in range(30):
+            n = rng.choice([2, 3, 4])
+            cases.append(
+                tuple(
+                    Endo([f / rng.randint(1, 3) for f in random_endo(rng, n, 4, 4).components])
+                    for _ in range(2)
+                )
+            )
+        for s, u in cases:
+            for f, h in zip(s.components, s.compose(u).components):
+                assert h.terms() == dict_substitute(f, u.components)
+                assert_canonical(h)
+        assert hand.compose(Endo([g, g, 3 * x1])).components[0] == 1
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

@@ -129,14 +129,38 @@ class TestRingOperations:
                 expected = expected * p
 
 
-def dict_convolution(p, q):
+def dict_convolution(a, b):
     """Reference product on plain term dicts: keys add slot by slot."""
     out = {}
-    for ka, ca in p.terms().items():
-        for kb, cb in q.terms().items():
+    for ka, ca in a.items():
+        for kb, cb in b.items():
             key = tuple(map(add, ka, kb))
             out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c}
+
+
+def dict_substitute(p, images, t_image=None):
+    """Reference substitution on plain term dicts over Fractions: each term
+    c*x^e becomes c times e_i copies of image i, multiplied by
+    dict_convolution alone, and the terms are summed."""
+    n = p.nvars
+    slots = [g.terms() for g in images]
+    slots.append({(0,) * n + (1,): 1} if t_image is None else t_image.terms())
+    out = {}
+    for key, c in p.terms().items():
+        term = {(0,) * (n + 1): Fraction(c)}
+        for e, image in zip(key, slots):
+            for _ in range(e):
+                term = dict_convolution(term, image)
+        for k, v in term.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def assert_canonical(p):
+    """Every coefficient is an int where integral and a Fraction otherwise."""
+    for c in p.terms().values():
+        assert type(c) is (int if c.denominator == 1 else Fraction)
 
 
 # small exponents, both sides of 16-bit fields, and one past 64 bits
@@ -161,11 +185,10 @@ class TestPackedProduct:
             if case % 3 == 0:
                 # (m + r)(m - r): the cross terms cancel
                 q = p - 2 * Poly(nvars, dict(list(p.terms().items())[1:]))
-            expected = dict_convolution(p, q)
+            expected = dict_convolution(p.terms(), q.terms())
             product = p * q
             assert product.terms() == expected
-            for c in product.terms().values():
-                assert type(c) is (int if c.denominator == 1 else Fraction)
+            assert_canonical(product)
             keys = {tuple(map(add, ka, kb)) for ka in p.terms() for kb in q.terms()}
             cancelled += len(expected) < len(keys)
         assert cancelled > 50
@@ -334,6 +357,37 @@ class TestSubstitution:
             result = p.substitute(images, t_image)
             assert sympy.expand(expected - to_sympy(sympy, result)) == 0
 
+    def test_matches_dict_oracle(self):
+        x1, x2, x3 = Poly.variables(3)
+        t = Poly.t(3)
+        g = x2 + Fraction(1, 2) * x3 * t
+        cases = [
+            # x1 - x2 at equal images: the source's terms cancel each other
+            (x1 - x2, [g, g, x3], None),
+            (x1 * x3 - x2 * x3 + 5, [g, g, x1], None),
+            # zero images, a constant term and a t image
+            (x1**2 * x2 + 3 * x2 * t**2 - 7, [Poly.zero(3), x1 + x2, x3], x1 - 2),
+            # Fraction coefficients whose products come out integral
+            (x1 / 2 + x2**2 / 3 + x3 * t / 4, [2 * x2, 3 * x1 + x3, 2 * x1], 2 * t),
+        ]
+        rng = random.Random(808)
+        for case in range(60):
+            nvars = 1 + case % 3
+            p = random_poly(rng, nvars, 4, 5, with_t=True)
+            images = [
+                random_poly(rng, nvars, 2, 3, with_t=True) if rng.random() < 0.8
+                else Poly.zero(nvars)
+                for _ in range(nvars)
+            ]
+            t_image = random_poly(rng, nvars, 1, 2, with_t=True) if case % 2 else None
+            cases.append((p, images, t_image))
+        for p, images, t_image in cases:
+            result = p.substitute(images, t_image)
+            assert result.terms() == dict_substitute(p, images, t_image)
+            assert_canonical(result)
+        assert (x1 - x2).substitute([g, g, x3]).is_zero
+        assert (x1 / 2).substitute([2 * x2, x2, x3]).terms() == {(0, 1, 0, 0): 1}
+
     def test_substitute_then_evaluate_commutes(self):
         rng = random.Random(404)
         for _ in range(25):
@@ -376,6 +430,33 @@ class TestTParameter:
         assert p.with_t_set(0) == x(1, 1)
         assert p.with_t_set(1) == x(1, 1) + x(1, 1) ** 2
         assert p.with_t_set(Fraction(1, 2)) == x(1, 1) + x(1, 1) ** 2 / 2
+
+    # Fraction(4, 2) is the integral Fraction 2/1; integral outputs must still be ints
+    @pytest.mark.parametrize(
+        "value", [0, 1, -1, 2, Fraction(1, 2), Fraction(4, 2)], ids=repr
+    )
+    def test_with_t_set_matches_dict_oracle(self, value):
+        v = Fraction(value)
+
+        def oracle(p):
+            out = {}
+            for key, c in p.terms().items():
+                k = key[:-1] + (0,)
+                out[k] = out.get(k, 0) + Fraction(c) * v ** key[-1]
+            return {k: c for k, c in out.items() if c}
+
+        x1, x2, t = x(2, 1), x(2, 2), Poly.t(2)
+        # x1*t - v*x1 cancels at t = v; the x2 term comes out as exactly 1
+        cases = [x1 * t - v * x1 + x2 * t**2 / (v**2 if v else 1) + Fraction(3, 2)]
+        rng = random.Random(909)
+        for case in range(40):
+            cases.append(random_poly(rng, 1 + case % 3, 4, 6, with_t=True))
+        for p in cases:
+            result = p.with_t_set(value)
+            assert result.terms() == oracle(p)
+            assert_canonical(result)
+        expected = {(0, 0, 0): Fraction(3, 2), (0, 1, 0): 1} if v else {(0, 0, 0): Fraction(3, 2)}
+        assert cases[0].with_t_set(value).terms() == expected
 
     def test_divide_t_exact(self):
         p = Poly.t(1) ** 2 * x(1, 1) + Poly.t(1) ** 3
