@@ -28,8 +28,8 @@ def det(matrix: Matrix) -> Fraction:
         pivot = rows[col][col]
         result *= pivot
         for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
+            if rows[r][col]:
+                factor = rows[r][col] / pivot
                 for c in range(col, n):
                     rows[r][c] -= factor * rows[col][c]
     return sign * result

@@ -423,7 +423,8 @@ def _closure_samples(
             )
         alpha = action.at(value)
         image = curve.specialize(value)
-        conjugate = alpha.inverse().to_endo().compose(psi).compose(alpha.to_endo())
+        # the action at 1 / value is alpha's exact inverse: no elimination
+        conjugate = action.at(1 / value).to_endo().compose(psi).compose(alpha.to_endo())
         if image != conjugate:
             raise ConsistencyError(
                 f"specialization at t = {value} is not the expected conjugate"

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Union
 from . import _linalg
 from .endo import Endo
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import Poly, Scalar, _as_fraction
+from .poly import Poly, Scalar, _as_fraction, _norm_coeff
 
 
 class AffineMap:
@@ -73,15 +73,11 @@ class AffineMap:
         return cls(sigma.linear_matrix(), sigma.translation())
 
     def to_endo(self) -> Endo:
-        comps = []
-        for i in range(self.n):
-            f = Poly.const(self.n, self.translation[i])
-            for j in range(self.n):
-                c = self.matrix[i][j]
-                if c:
-                    f = f + c * Poly.variable(self.n, j + 1)
-            comps.append(f)
-        return Endo(comps)
+        n = self.n
+        # the keys of x1..xn, then of the constant; zero coefficients are dropped
+        keys = [tuple(int(i == j) for i in range(n + 1)) for j in range(n)] + [(0,) * (n + 1)]
+        rows = [zip(keys, row + (v,)) for row, v in zip(self.matrix, self.translation)]
+        return Endo([Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows])
 
     def inverse(self) -> "AffineMap":
         inv = _linalg.invert(self.matrix)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from operator import lshift
+from operator import add, lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlgebraError, DimensionError, UndefinedValuation
@@ -385,22 +385,44 @@ class Poly:
 
     def _substitute(self, tables: Sequence[dict[int, "Poly"]]) -> "Poly":
         # tables[slot] holds the known powers of that slot's image (see _power).
-        # Each term's c * v lands in one accumulator, unnormalized: sums may
-        # cancel to 0 or to an integral Fraction, so zeros are dropped and
-        # _norm_coeff runs once per output term, not once per product.
+        # A one-term image a*x^k needs no product: x_slot^e adds e*k to the key
+        # and a factor a**e (None if 1), kept in monos[slot][e] for this call. A
+        # zero image (monos[slot] empty) drops the term; others (None) multiply
+        # powers.  Each c * v lands in one unnormalized accumulator: zero sums
+        # are dropped and _norm_coeff runs once per output term, at the end.
         zero_key = (0,) * (self.nvars + 1)
+        monos = [None if len(g[1]) > 1 else {1: kv for kv in g[1]._terms.items()} for g in tables]
         acc: dict[tuple, Scalar] = {}
         get = acc.get
         for key, c in self._terms.items():
-            prod = None
-            for e, table in zip(key, tables):
-                if e:
+            prod, shift = None, zero_key
+            for e, table, mono in zip(key, tables, monos):
+                if not e:
+                    continue
+                if mono is None:
                     power = _power(table, e)
                     prod = power if prod is None else prod * power
-            for k, v in ({zero_key: 1} if prod is None else prod._terms).items():
-                v = c * v
-                old = get(k)
-                acc[k] = v if old is None else old + v
+                    continue
+                if not mono:
+                    break
+                step = mono.get(e)
+                if step is None:
+                    k, a = mono[1]
+                    a = a**e
+                    step = mono[e] = (tuple([e * i for i in k]), None if a == 1 else a)
+                k, a = step
+                shift = k if shift is zero_key else tuple(map(add, shift, k))
+                c = c if a is None else c * a
+            else:
+                if prod is None:
+                    items = ((shift, c),)
+                elif shift is zero_key:
+                    items = [(k, c * v) for k, v in prod._terms.items()]
+                else:
+                    items = [(tuple(map(add, k, shift)), c * v) for k, v in prod._terms.items()]
+                for k, v in items:
+                    old = get(k)
+                    acc[k] = v if old is None else old + v
         return Poly._make(self.nvars, {k: _norm_coeff(v) for k, v in acc.items() if v})
 
     def with_t_set(self, value: Scalar) -> "Poly":

@@ -173,6 +173,15 @@ class TestTorusConjugate:
         with pytest.raises(DimensionError):
             TorusAction(2, 1)
 
+    def test_action_at_the_reciprocal_is_the_inverse(self):
+        # closure_witness builds the inverse torus map this way
+        values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5)]
+        for n in range(2, 5):
+            for w in range(2, 6):
+                action = TorusAction(n, w)
+                for v in values:
+                    assert action.at(1 / Fraction(v)) == action.at(v).inverse()
+
 
 class TestSpecialize:
     def test_t_one_is_source(self):

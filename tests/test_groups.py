@@ -68,8 +68,19 @@ class TestAffineMap:
             AffineMap.transposition(2, 0, 1)
 
     def test_from_endo_round_trip(self):
-        alpha = random_affine(3, 99)
-        assert AffineMap.from_endo(alpha.to_endo()) == alpha
+        rng = random.Random(99)
+        maps = [random_affine(n, rng) for n in (1, 2, 3, 4) for _ in range(10)]
+        maps += [
+            AffineMap([[Fraction(1, 2), 0], [0, -3]], [0, 0]),
+            AffineMap([[0, 0, 5], [Fraction(-2, 3), 1, 0], [0, 1, 0]], [0, Fraction(7, 4), 0]),
+        ]
+        for alpha in maps:
+            endo = alpha.to_endo()
+            assert AffineMap.from_endo(endo) == alpha
+            for row, v, f in zip(alpha.matrix, alpha.translation, endo.components):
+                # no zero coefficient is stored, and integral ones are ints
+                assert len(f) == sum(1 for c in row + (v,) if c)
+                assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in f)
 
 
 class TestTriangularMap:

@@ -369,6 +369,21 @@ class TestSubstitution:
             (x1**2 * x2 + 3 * x2 * t**2 - 7, [Poly.zero(3), x1 + x2, x3], x1 - 2),
             # Fraction coefficients whose products come out integral
             (x1 / 2 + x2**2 / 3 + x3 * t / 4, [2 * x2, 3 * x1 + x3, 2 * x1], 2 * t),
+            # one-term images only: negative and Fraction factors, powers > 1
+            (
+                x1**3 * x2 - 4 * x2**2 * x3 * t + x3**5 / 7 + 2,
+                [-2 * x2 * t, Fraction(3, 5) * x1 * x3, Fraction(-1, 3) * x3 * t**2],
+                None,
+            ),
+            # a one-term t image
+            (x1 * t**3 + x2**2 * t - t, [x3, x2, -x1], Fraction(-3, 2) * x1 * t),
+            # one-term images that collide and cancel
+            (x1 - x2, [x2, x2, x3], None),
+            (3 * x1**2 * x3 - 3 * x2**2 * x3 + x3, [2 * x2, -2 * x2, x3], None),
+            # a zero image next to one-term ones
+            (x1 * x2 + x2**2 * x3 - x3**3 + 1, [Poly.zero(3), 2 * x1, x3 * t], None),
+            # one-term and polynomial images in one substitution
+            (x1**2 * x2 * x3 + x2**3 - x1 * t, [Fraction(1, 2) * x2, g, -x1 * t], x1 + t),
         ]
         rng = random.Random(808)
         for case in range(60):
@@ -381,6 +396,15 @@ class TestSubstitution:
             ]
             t_image = random_poly(rng, nvars, 1, 2, with_t=True) if case % 2 else None
             cases.append((p, images, t_image))
+        for case in range(60):
+            # each image, the t image included, is one random term half the time
+            nvars = 1 + case % 3
+            p = random_poly(rng, nvars, 4, 5, with_t=True)
+            images = [
+                random_poly(rng, nvars, 2, 1 if rng.random() < 0.5 else 3, with_t=True)
+                for _ in range(nvars + 1)
+            ]
+            cases.append((p, images[:-1], images[-1]))
         for p, images, t_image in cases:
             result = p.substitute(images, t_image)
             assert result.terms() == dict_substitute(p, images, t_image)
