@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
-from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff
+from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff, _var_key
 
 # poly_det packs one slot densely only while its degree bound stays within
 # this many times the matrix's term count: a dense value holds a field for
@@ -154,36 +154,24 @@ class Endo:
 
     def linear_matrix(self) -> _linalg.Matrix:
         """The n x n matrix of linear coefficients (row i: component i)."""
-        rows = []
-        for f in self.components:
-            row = []
-            for j in range(1, self.n + 1):
-                key = tuple(1 if k == j else 0 for k in range(1, self.n + 1))
-                row.append(f.coefficient(key))
-            rows.append(tuple(row))
-        return tuple(rows)
+        keys = [_var_key(self.n, j) for j in range(1, self.n + 1)]
+        return tuple(
+            tuple(_as_fraction(f._terms.get(k, 0)) for k in keys) for f in self.components
+        )
 
     def translation(self) -> tuple[Fraction, ...]:
         return tuple(f.constant_term() for f in self.components)
 
     def is_affine(self) -> bool:
         """Degree one with invertible linear part."""
-        try:
-            if self.degree() != 1:
-                return False
-        except DegenerateInput:
-            return False
-        return _linalg.det(self.linear_matrix()) != 0
+        degree = max(f.total_degree() for f in self.components)
+        return degree == 1 and _linalg.det(self.linear_matrix()) != 0
 
     def is_triangular(self) -> bool:
         """Component i must be a_i*x_i + p_i with a_i != 0 and p_i in later variables."""
         for i, f in enumerate(self.components, start=1):
-            key = tuple(1 if k == i else 0 for k in range(1, self.n + 1))
-            scale = f.coefficient(key)
-            if scale == 0:
-                return False
-            shift = f - scale * Poly.variable(self.n, i)
-            if any(j <= i for j in shift.support_variables()):
+            key = _var_key(self.n, i)
+            if key not in f._terms or any(k != key and any(k[:i]) for k in f._terms):
                 return False
         return True
 

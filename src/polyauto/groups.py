@@ -21,13 +21,13 @@ from typing import Iterable, Sequence, Union
 from . import _linalg
 from .endo import Endo
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import Poly, Scalar, _as_fraction, _norm_coeff
+from .poly import Poly, Scalar, _as_fraction, _norm_coeff, _var_key
 
 
 class AffineMap:
     """An invertible map x -> Mx + v; singular matrices are rejected at construction."""
 
-    __slots__ = ("n", "matrix", "translation", "det")
+    __slots__ = ("n", "matrix", "translation")
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]], translation: Sequence[Scalar]):
         rows = tuple(tuple(_as_fraction(e) for e in row) for row in matrix)
@@ -37,13 +37,11 @@ class AffineMap:
         vec = tuple(_as_fraction(v) for v in translation)
         if len(vec) != n:
             raise DimensionError("translation length must match the matrix size")
-        d = _linalg.det(rows)
-        if d == 0:
+        if _linalg.det(rows) == 0:
             raise DimensionError("affine map needs an invertible linear part")
         self.n = n
         self.matrix = rows
         self.translation = vec
-        self.det = d
 
     @classmethod
     def identity(cls, n: int) -> "AffineMap":
@@ -68,14 +66,15 @@ class AffineMap:
 
     @classmethod
     def from_endo(cls, sigma: Endo) -> "AffineMap":
-        if not sigma.is_affine():
-            raise DimensionError("endomorphism is not an invertible affine map")
+        """The affine map of a degree-one endomorphism; the constructor rejects a singular one."""
+        if max(f.total_degree() for f in sigma.components) != 1:
+            raise DimensionError("endomorphism is not an affine map")
         return cls(sigma.linear_matrix(), sigma.translation())
 
     def to_endo(self) -> Endo:
         n = self.n
         # the keys of x1..xn, then of the constant; zero coefficients are dropped
-        keys = [tuple(int(i == j) for i in range(n + 1)) for j in range(n)] + [(0,) * (n + 1)]
+        keys = [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
         rows = [zip(keys, row + (v,)) for row, v in zip(self.matrix, self.translation)]
         return Endo([Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows])
 
@@ -104,8 +103,16 @@ class AffineMap:
         return f"AffineMap(matrix={self.matrix}, translation={self.translation})"
 
 
+def _component(n: int, i: int, a: Fraction, shift: Poly) -> Poly:
+    # a_i*x_i + p_i as one term dict: the shift never holds the x_i key
+    return Poly._make(n, {_var_key(n, i): _norm_coeff(a), **shift._terms})
+
+
 class TriangularMap:
-    """Component i is a_i*x_i + p_i with a_i != 0 and p_i using only later variables."""
+    """Component i is a_i*x_i + p_i with a_i != 0 and p_i using only later variables.
+
+    A shift p_i never mentions x_1..x_i, so the x_i term merges into its term dict.
+    """
 
     __slots__ = ("n", "scalings", "shifts")
 
@@ -140,37 +147,29 @@ class TriangularMap:
 
     @classmethod
     def from_endo(cls, sigma: Endo) -> "TriangularMap":
-        if not sigma.is_triangular():
-            raise DimensionError("endomorphism is not triangular")
+        """Pop each component's x_i term; the constructor rejects what is not triangular."""
         scalings = []
         shifts = []
         for i, f in enumerate(sigma.components, start=1):
-            key = tuple(1 if k == i else 0 for k in range(1, sigma.n + 1))
-            a = f.coefficient(key)
-            scalings.append(a)
-            shifts.append(f - a * Poly.variable(sigma.n, i))
+            terms = f.terms()
+            scalings.append(terms.pop(_var_key(sigma.n, i), 0))
+            shifts.append(Poly._make(sigma.n, terms))
         return cls(scalings, shifts)
 
     def to_endo(self) -> Endo:
-        return Endo(
-            [
-                self.scalings[i] * Poly.variable(self.n, i + 1) + self.shifts[i]
-                for i in range(self.n)
-            ]
-        )
+        pairs = zip(self.scalings, self.shifts)
+        return Endo([_component(self.n, i, a, p) for i, (a, p) in enumerate(pairs, start=1)])
 
     def inverse(self) -> "TriangularMap":
-        """Back-substitution from the last variable upward."""
+        """Back-substitution upward: component i is x_i/a_i + q_i, q_i = -p_i(y)/a_i."""
         n = self.n
-        inv_comps: list[Poly] = [Poly.zero(n)] * n
+        scalings = [1 / a for a in self.scalings]
+        shifts = [None] * n
+        images = Poly.variables(n)  # p_i reads only later images, already inverted
         for i in range(n - 1, -1, -1):
-            # invert x_{i+1} = a*y + p(y_{i+2}..y_n): y = (x_{i+1} - p(inv...)) / a
-            images = [
-                inv_comps[j] if j > i else Poly.variable(n, j + 1) for j in range(n)
-            ]
-            p_eval = self.shifts[i].substitute(images)
-            inv_comps[i] = (Poly.variable(n, i + 1) - p_eval) / self.scalings[i]
-        return TriangularMap.from_endo(Endo(inv_comps))
+            shifts[i] = self.shifts[i].substitute(images) / -self.scalings[i]
+            images[i] = _component(n, i + 1, scalings[i], shifts[i])
+        return TriangularMap(scalings, shifts)
 
     def compose(self, other: "TriangularMap") -> "TriangularMap":
         return TriangularMap.from_endo(self.to_endo().compose(other.to_endo()))
@@ -229,9 +228,14 @@ class OpaqueGenerator:
 Generator = Union[AffineMap, TriangularMap, OpaqueGenerator]
 
 
+def _check_exponent(exponent) -> None:
+    # an exact test: 1.0, "1" and True are not letter exponents
+    if type(exponent) is not int or exponent not in (1, -1):
+        raise DimensionError(f"letter exponents must be the int +1 or -1, got {exponent!r}")
+
+
 def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
-    if exponent not in (1, -1):
-        raise DimensionError("letter exponents must be +1 or -1")
+    _check_exponent(exponent)
     if isinstance(gen, OpaqueGenerator):
         if exponent == 1:
             return gen.endo
@@ -248,15 +252,14 @@ class Word:
     __slots__ = ("n", "letters")
 
     def __init__(self, letters: Iterable[tuple[Generator, int]]):
-        letters = tuple((gen, int(exp)) for gen, exp in letters)
+        letters = tuple((gen, exp) for gen, exp in letters)
         if not letters:
             raise DimensionError("a word needs at least one letter")
         n = letters[0][0].n
         for gen, exp in letters:
             if gen.n != n:
                 raise DimensionError("all letters must act on the same variables")
-            if exp not in (1, -1):
-                raise DimensionError("letter exponents must be +1 or -1")
+            _check_exponent(exp)
             if (
                 exp == -1
                 and isinstance(gen, OpaqueGenerator)

@@ -177,9 +177,10 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
         f, g = current.components
         d1, d2 = f.total_degree(), g.total_degree()
         if d1 <= 1 and d2 <= 1:
-            if not current.is_affine():
+            try:
+                final = AffineMap.from_endo(current)
+            except DimensionError:
                 raise reject("singular-affine", "reduction ended in a singular affine map")
-            final = AffineMap.from_endo(current)
             letters = _merge_letters(inverse_letters + [(final, 1)])
             if not letters:
                 letters = [(AffineMap.identity(2), 1)]

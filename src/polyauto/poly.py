@@ -57,6 +57,11 @@ def _norm_coeff(value):
     return value
 
 
+def _var_key(nvars: int, index: int) -> tuple:
+    """The exponent key of x_index (1-based) among nvars variables, t slot last."""
+    return (0,) * (index - 1) + (1,) + (0,) * (nvars + 1 - index)
+
+
 def _power(table: dict[int, "Poly"], e: int) -> "Poly":
     # table maps exponents to known powers of table[1].  The chain steps down
     # from e, to e - 1 when e is odd and to e // 2 when even, until it meets a
@@ -131,9 +136,7 @@ class Poly:
         """The polynomial x_index, with 1-based index."""
         if not 1 <= index <= nvars:
             raise DimensionError(f"variable index {index} out of range 1..{nvars}")
-        key = [0] * (nvars + 1)
-        key[index - 1] = 1
-        return cls._make(nvars, {tuple(key): 1})
+        return cls._make(nvars, {_var_key(nvars, index): 1})
 
     @classmethod
     def t(cls, nvars: int) -> "Poly":

@@ -100,6 +100,18 @@ class TestNormalize:
             normalize(phi)
         assert "affine_part" in info.value.certificate
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[x1 + x2^2, 1 + x1^2]",  # affine part [x1, 1]: rank one
+            "[1 + x1^2, x2^2]",  # affine part constant
+            "[x1^2, x2^2]",  # affine part zero
+        ],
+    )
+    def test_degenerate_affine_parts_certified(self, text):
+        with pytest.raises(SingularAffinePart):
+            normalize(parse_endo(text))
+
     def test_result_invariants_enforced(self):
         with pytest.raises(ConsistencyError):
             NormalizationRecord(None, None, Endo.identity(2))

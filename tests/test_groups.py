@@ -14,6 +14,7 @@ from polyauto.groups import (
     TriangularMap,
     Word,
     format_word,
+    generator_to_endo,
     nagata,
     nagata_delta,
     nagata_generator,
@@ -21,6 +22,7 @@ from polyauto.groups import (
     random_tame_word,
     random_triangular,
 )
+from test_poly import assert_canonical
 
 
 def x(nvars, i):
@@ -82,6 +84,19 @@ class TestAffineMap:
                 assert len(f) == sum(1 for c in row + (v,) if c)
                 assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in f)
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [x(2, 1) ** 2, x(2, 2)],  # degree two
+            [x(2, 1) + x(2, 2), 2 * x(2, 1) + 2 * x(2, 2) + 1],  # singular linear part
+            [Poly.const(2, 3), Poly.const(2, -1)],  # a constant map
+            [Poly.zero(2), Poly.zero(2)],  # the zero map
+        ],
+    )
+    def test_from_endo_rejections(self, components):
+        with pytest.raises(DimensionError):
+            AffineMap.from_endo(Endo(components))
+
 
 class TestTriangularMap:
     def test_to_endo(self):
@@ -120,6 +135,45 @@ class TestTriangularMap:
             beta = random_triangular(3, seed, 3)
             assert beta.to_endo().compose(beta.inverse().to_endo()) == Endo.identity(3)
 
+    def test_endo_round_trip_and_double_inverse(self):
+        rng = random.Random(2024)
+        maps = [
+            random_triangular(n, rng, dmax)
+            for n in (1, 2, 3, 4)
+            for dmax in (1, 2, 3)
+            for _ in range(4)
+        ]
+        maps.append(
+            TriangularMap(
+                [Fraction(2, 3), Fraction(-5, 2), 3],
+                [x(3, 2) ** 2 / 3 + x(3, 3), Fraction(1, 4) * x(3, 3) ** 3, Poly.const(3, 7)],
+            )
+        )
+        for beta in maps:
+            endo = beta.to_endo()
+            for f in endo.components:
+                assert_canonical(f)
+            assert TriangularMap.from_endo(endo) == beta
+            inv = beta.inverse()
+            assert inv.inverse() == beta
+            assert endo.compose(inv.to_endo()) == Endo.identity(beta.n)
+            for f in inv.to_endo().components:
+                assert_canonical(f)
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [x(2, 1) + x(2, 1) ** 2, x(2, 2)],  # x_i^2 in component i
+            [x(3, 1), x(3, 2) + x(3, 2) * x(3, 3), x(3, 3)],  # x_i*x_j in component i
+            [x(2, 2) ** 2 + 1, x(2, 2)],  # no x_i term
+        ],
+    )
+    def test_non_triangular_rejected(self, components):
+        sigma = Endo(components)
+        assert not sigma.is_triangular()
+        with pytest.raises(DimensionError):
+            TriangularMap.from_endo(sigma)
+
     def test_generators_satisfy_their_predicates(self):
         for seed in range(20):
             assert random_triangular(3, seed, 3).to_endo().is_triangular()
@@ -132,6 +186,14 @@ class TestWord:
         shear = TriangularMap([1, 1], [x(2, 2) ** 2, Poly.zero(2)])
         word = Word([(swap, 1), (shear, 1)])
         assert word.to_endo() == Endo([x(2, 2), x(2, 1) + x(2, 2) ** 2])
+
+    @pytest.mark.parametrize("exponent", [1.5, -1.9, "1", 2, 0, 1.0, True])
+    def test_exponent_must_be_the_int_one_or_minus_one(self, exponent):
+        beta = random_triangular(2, 5, 3)
+        with pytest.raises(DimensionError):
+            Word([(beta, exponent)])
+        with pytest.raises(DimensionError):
+            generator_to_endo(beta, exponent)
 
     def test_letter_and_its_inverse_cancel(self):
         beta = random_triangular(2, 5, 3)
