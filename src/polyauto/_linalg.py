@@ -1,56 +1,59 @@
-"""Tiny exact linear algebra over Fraction, used for affine maps."""
+"""Tiny exact linear algebra for affine maps, by fraction-free elimination on ints."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def det(matrix: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+def _eliminate(matrix: Matrix, augment: bool) -> tuple[int, int, int, list[list[int]]]:
+    # Bareiss (1968) on the int matrix A = scale * matrix: each division by the
+    # previous pivot is exact.  Returns (sign, pivot, scale, rows), pivot =
+    # det(PA) for the row swaps P (0 if singular), det A = sign * pivot.  With
+    # augment, Gauss-Jordan on [A | I] ends with rows [pivot*I | pivot*A^-1].
     n = len(matrix)
-    rows = [list(r) for r in matrix]
-    for r in rows:
-        if len(r) != n:
-            raise DimensionError("determinant needs a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+    if any(len(row) != n for row in matrix):
+        raise DimensionError("elimination needs a square matrix")
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    unit = range(n) if augment else ()
+    rows = [
+        [v.numerator * (scale // v.denominator) for v in row] + [int(i == j) for j in unit]
+        for i, row in enumerate(matrix)
+    ]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return sign, 0, scale, rows
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
-        pivot = rows[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * result
+        top = rows[k]
+        pivot = top[k]
+        for i in range(0 if augment else k + 1, n):
+            if i != k:
+                row = rows[i]
+                rows[i] = [(pivot * a - row[k] * b) // prev for a, b in zip(row, top)]
+        prev = pivot
+    return sign, prev, scale, rows
+
+
+def det(matrix: Matrix) -> Fraction:
+    """Determinant by fraction-free elimination."""
+    sign, pivot, scale, _ = _eliminate(matrix, False)
+    return Fraction(sign * pivot, scale ** len(matrix))
 
 
 def invert(matrix: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises on singular input."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Exact inverse, scale * (pivot * A^-1) / pivot; raises on singular input."""
+    _, pivot, scale, rows = _eliminate(matrix, True)
+    if not pivot:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(Fraction(scale * v, pivot) for v in row[len(rows) :]) for row in rows)
 
 
 def mat_vec(matrix: Matrix, vector) -> tuple[Fraction, ...]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
-from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff, _var_key
+from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff, _table, _var_key
 
 # poly_det packs one slot densely only while its degree bound stays within
 # this many times the matrix's term count: a dense value holds a field for
@@ -121,7 +121,7 @@ class Endo:
         if self.n != other.n:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
         # one power table per image, shared by every component
-        tables = [{1: g} for g in other.components] + [{1: Poly.t(self.n)}]
+        tables = [_table(g) for g in other.components] + [(1, {1: Poly.t(self.n)})]
         return Endo([f._substitute(tables) for f in self.components])
 
     def __mul__(self, other):

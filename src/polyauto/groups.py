@@ -79,9 +79,11 @@ class AffineMap:
         return Endo([Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows])
 
     def inverse(self) -> "AffineMap":
-        inv = _linalg.invert(self.matrix)
-        shift = _linalg.mat_vec(inv, self.translation)
-        return AffineMap(inv, [-v for v in shift])
+        # past the constructor: invert's Fraction tuples are canonical, invertible
+        out = object.__new__(AffineMap)
+        out.n, out.matrix = self.n, _linalg.invert(self.matrix)
+        out.translation = tuple(-v for v in _linalg.mat_vec(out.matrix, self.translation))
+        return out
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, matching the endomorphism composition law."""

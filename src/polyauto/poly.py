@@ -6,7 +6,7 @@ rational coefficients: an ``int`` where the value is integral, otherwise a
 :class:`fractions.Fraction`.  Keys have length ``nvars + 1``;
 the last slot holds the exponent of t.  The zero polynomial has an empty
 term map, zero coefficients are never stored, and equality is structural,
-so canonical forms are unique.
+so canonical forms are unique.  Substitution (so composition) runs on ints.
 
 All values are immutable after construction and every operation is a pure
 function; polynomials can be shared freely between threads.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm, prod
 from operator import add, lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -76,6 +77,15 @@ def _power(table: dict[int, "Poly"], e: int) -> "Poly":
     return table[e]
 
 
+def _table(g: "Poly") -> tuple[int, dict[int, "Poly"]]:
+    """A substitution slot (see _substitute): (d, {1: d*g}), d the lcm of g's denominators."""
+    terms = g._terms
+    d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+    if d != 1:
+        g = Poly._make(g.nvars, {k: c.numerator * (d // c.denominator) for k, c in terms.items()})
+    return d, {1: g}
+
+
 class Poly:
     """Immutable sparse polynomial in x1..xn and the parameter t."""
 
@@ -94,7 +104,7 @@ class Poly:
                     raise DimensionError(
                         f"exponent tuple {key} does not fit {nvars} variables"
                     )
-                if any(e < 0 or not isinstance(e, int) for e in key):
+                if any(type(e) is not int or e < 0 for e in key):
                     raise DimensionError(f"exponents must be non-negative integers: {key}")
                 c = _norm_coeff(_as_fraction(coeff))
                 if c:
@@ -384,30 +394,43 @@ class Poly:
         if t_image is not None and t_image.nvars != self.nvars:
             raise DimensionError("t image must share nvars")
         t_base = t_image if t_image is not None else Poly.t(self.nvars)
-        return self._substitute([{1: g} for g in images] + [{1: t_base}])
+        return self._substitute([_table(g) for g in images] + [_table(t_base)])
 
-    def _substitute(self, tables: Sequence[dict[int, "Poly"]]) -> "Poly":
-        # tables[slot] holds the known powers of that slot's image (see _power).
-        # A one-term image a*x^k needs no product: x_slot^e adds e*k to the key
-        # and a factor a**e (None if 1), kept in monos[slot][e] for this call. A
-        # zero image (monos[slot] empty) drops the term; others (None) multiply
-        # powers.  Each c * v lands in one unnormalized accumulator: zero sums
-        # are dropped and _norm_coeff runs once per output term, at the end.
+    def _substitute(self, tables: Sequence[tuple[int, dict[int, "Poly"]]]) -> "Poly":
+        # tables[slot] is (d, powers of the int image d*g) from _table.  Zero images
+        # drop their terms first.  With clear*self integral and m the top exponent
+        # per slot, c*x^e adds the int c*clear * prod d^(m-e) * prod (d*g)^e to one
+        # accumulator; each sum is divided once by total = clear * prod d^m.  A
+        # one-term image a*x^k adds e*k to the key and a factor a**e (None if 1),
+        # kept in monos[slot][e]; others (None) multiply powers (see _power).
+        source = self._terms
+        images = [t[1]._terms for _, t in tables]
+        dead = [i for i, g in enumerate(images) if not g]
+        if dead:
+            source = {k: c for k, c in source.items() if not any(k[i] for i in dead)}
         zero_key = (0,) * (self.nvars + 1)
-        monos = [None if len(g[1]) > 1 else {1: kv for kv in g[1]._terms.items()} for g in tables]
-        acc: dict[tuple, Scalar] = {}
+        clear = lcm(*[c.denominator for c in source.values() if type(c) is not int])
+        scaled = [(i, d) for i, (d, _) in enumerate(tables) if d != 1]
+        scaled = [(i, d, max((k[i] for k in source), default=0), {0: 1}) for i, d in scaled]
+        total = clear * prod(d**m for _, d, m, _ in scaled)
+        monos = [None if len(g) > 1 else {1: kv for kv in g.items()} for g in images]
+        acc: dict[tuple, int] = {}
         get = acc.get
-        for key, c in self._terms.items():
-            prod, shift = None, zero_key
-            for e, table, mono in zip(key, tables, monos):
+        for key, c in source.items():
+            c = c * clear if type(c) is int else c.numerator * (clear // c.denominator)
+            for i, d, m, dpow in scaled:
+                k = m - key[i]
+                if k not in dpow:
+                    dpow[k] = d**k
+                c *= dpow[k]
+            product, shift = None, zero_key
+            for e, (_, table), mono in zip(key, tables, monos):
                 if not e:
                     continue
                 if mono is None:
                     power = _power(table, e)
-                    prod = power if prod is None else prod * power
+                    product = power if product is None else product * power
                     continue
-                if not mono:
-                    break
                 step = mono.get(e)
                 if step is None:
                     k, a = mono[1]
@@ -416,17 +439,19 @@ class Poly:
                 k, a = step
                 shift = k if shift is zero_key else tuple(map(add, shift, k))
                 c = c if a is None else c * a
+            if product is None:
+                items = ((shift, c),)
+            elif shift is zero_key:
+                items = [(k, c * v) for k, v in product._terms.items()]
             else:
-                if prod is None:
-                    items = ((shift, c),)
-                elif shift is zero_key:
-                    items = [(k, c * v) for k, v in prod._terms.items()]
-                else:
-                    items = [(tuple(map(add, k, shift)), c * v) for k, v in prod._terms.items()]
-                for k, v in items:
-                    old = get(k)
-                    acc[k] = v if old is None else old + v
-        return Poly._make(self.nvars, {k: _norm_coeff(v) for k, v in acc.items() if v})
+                items = [(tuple(map(add, k, shift)), c * v) for k, v in product._terms.items()]
+            for k, v in items:
+                old = get(k)
+                acc[k] = v if old is None else old + v
+        out = {k: v for k, v in acc.items() if v}
+        if total != 1:
+            out = {k: Fraction(v, total) if v % total else v // total for k, v in out.items()}
+        return Poly._make(self.nvars, out)
 
     def with_t_set(self, value: Scalar) -> "Poly":
         """Specialize t to an exact rational value."""

@@ -11,6 +11,7 @@ import pytest
 from polyauto import Poly, selfcheck
 from polyauto.endo import CoeffVector, Endo, monomials_upto, poly_det
 from polyauto.errors import DegenerateInput, DimensionError, FiltrationError
+from polyauto.groups import AffineMap, random_affine, random_triangular
 from test_poly import assert_canonical, dict_substitute
 
 
@@ -155,6 +156,14 @@ class TestComposition:
                     for _ in range(2)
                 )
             )
+        # inverse affine letters carry their determinant as a denominator;
+        # compose them with triangular letters on either side
+        letters = [AffineMap([[2, 1, 0], [1, 1, 1], [0, 3, 1]], [1, 0, -2])]
+        letters += [random_affine(n, seed) for n in (2, 3, 4) for seed in range(4)]
+        for seed, alpha in enumerate(letters):
+            a = alpha.inverse().to_endo()
+            b = random_triangular(alpha.n, seed, 2).to_endo()
+            cases += [(a, b), (b, a), (a, b.compose(a))]
         for s, u in cases:
             for f, h in zip(s.components, s.compose(u).components):
                 assert h.terms() == dict_substitute(f, u.components)

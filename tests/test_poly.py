@@ -100,6 +100,12 @@ class TestRingOperations:
         with pytest.raises(DimensionError):
             x(2, 1) * x(3, 1)
 
+    @pytest.mark.parametrize("exponent", ["a", None, True, 1.0, -1])
+    def test_bad_exponent_rejected(self, exponent):
+        # the type is tested before the sign: no str/None comparison, no bool key
+        with pytest.raises(DimensionError):
+            Poly(1, {(exponent,): 1})
+
     def test_ring_axioms_on_random_triples(self):
         rng = random.Random(2024)
         for _ in range(50):
@@ -384,6 +390,24 @@ class TestSubstitution:
             (x1 * x2 + x2**2 * x3 - x3**3 + 1, [Poly.zero(3), 2 * x1, x3 * t], None),
             # one-term and polynomial images in one substitution
             (x1**2 * x2 * x3 + x2**3 - x1 * t, [Fraction(1, 2) * x2, g, -x1 * t], x1 + t),
+            # a distinct denominator per slot; Fraction source coefficients; the
+            # x2 and constant terms have zero exponents beside x1's top power
+            (
+                Fraction(3, 4) * x1**3 - Fraction(5, 6) * x2 * x3**2 + x2 + 1,
+                [x2 / 2 + x3, 2 * x1 / 3 - x3, Fraction(5, 7) * x2 * x3 + 1],
+                None,
+            ),
+            # one-term images with distinct denominators, and a Fraction t image
+            (
+                x1**2 * x3 + Fraction(2, 9) * x2 * t**2 - x3**3 * t,
+                [x2 / 2, Fraction(2, 3) * x1, Fraction(5, 7) * x3],
+                Fraction(2, 3) * x1 + t / 5,
+            ),
+            (x1 * t - x2, [x1, x2, x3], Fraction(-1, 4) * t),
+            # the denominators cancel: integral results, and a zero one
+            (4 * x1**2 + 9 * x2 * x3, [x1 / 2 + x2 / 2, x1 / 3, 2 * x2 / 3], None),
+            (x1**2 / 4 - x2, [x1 + x2, (x1 + x2) ** 2 / 4, x3], None),
+            (x1 - x2, [x2 / 2 + x3 / 3, x2 / 2 + x3 / 3, x1 / 5], None),
         ]
         rng = random.Random(808)
         for case in range(60):
@@ -405,11 +429,22 @@ class TestSubstitution:
                 for _ in range(nvars + 1)
             ]
             cases.append((p, images[:-1], images[-1]))
+        for case in range(30):
+            # every slot, t included, scaled by its own denominator
+            nvars = 1 + case % 3
+            p = random_poly(rng, nvars, 4, 5, with_t=True)
+            images = [
+                random_poly(rng, nvars, 2, 1 + case % 3, with_t=True) / rng.choice((2, 3, 5, 7))
+                for _ in range(nvars + 1)
+            ]
+            cases.append((p, images[:-1], images[-1]))
         for p, images, t_image in cases:
             result = p.substitute(images, t_image)
             assert result.terms() == dict_substitute(p, images, t_image)
             assert_canonical(result)
         assert (x1 - x2).substitute([g, g, x3]).is_zero
+        integral = (4 * x1**2 + 9 * x2 * x3).substitute([x1 / 2 + x2 / 2, x1 / 3, 2 * x2 / 3])
+        assert integral.terms() == {(2, 0, 0, 0): 1, (1, 1, 0, 0): 4, (0, 2, 0, 0): 1}
         assert (x1 / 2).substitute([2 * x2, x2, x3]).terms() == {(0, 1, 0, 0): 1}
 
     def test_substitute_then_evaluate_commutes(self):
