@@ -57,18 +57,13 @@ class TorusAction:
     weight: int
 
     def __post_init__(self):
+        # exact types first, as for letter exponents: 2.0, "2" and True are rejected
+        if type(self.n) is not int or type(self.weight) is not int:
+            raise DimensionError(f"torus n and weight must be ints: {self.n!r}, {self.weight!r}")
         if self.n < 1:
             raise DimensionError("torus action needs at least one variable")
         if self.weight < 2:
             raise DimensionError("torus weight must be at least 2")
-
-    def images(self) -> list[Poly]:
-        """Substitution images of x1..xn under the action, as polynomials in x, t."""
-        n = self.n
-        t = Poly.t(n)
-        out = [t ** self.weight * Poly.variable(n, 1)]
-        out.extend(t * Poly.variable(n, i) for i in range(2, n + 1))
-        return out
 
     def at(self, t0: Scalar) -> AffineMap:
         """The invertible diagonal map at a nonzero parameter value."""
@@ -219,8 +214,8 @@ def normalize(phi: Endo) -> NormalizationRecord:
         )
     affine_inverse = None
     corrected = phi
-    affine_part = phi.affine_part()
-    if affine_part != Endo.identity(phi.n):
+    if not phi.has_identity_affine_part():
+        affine_part = phi.affine_part()
         try:
             alpha = AffineMap.from_endo(affine_part)
         except DimensionError:
@@ -230,18 +225,11 @@ def normalize(phi: Endo) -> NormalizationRecord:
             )
         affine_inverse = alpha.inverse()
         corrected = affine_inverse.to_endo().compose(phi)
-    if corrected == Endo.identity(phi.n):
-        raise DegenerateInput("input reduced to the identity; inconsistent degrees")
     moving = next(
-        (
-            i
-            for i in range(1, phi.n + 1)
-            if corrected.components[i - 1] != Poly.variable(phi.n, i)
-        ),
-        None,
+        (i for i, f in enumerate(corrected.components, 1) if f != Poly.variable(phi.n, i)), None
     )
     if moving is None:
-        raise DegenerateInput("no moving component despite non-identity input")
+        raise DegenerateInput("input reduced to the identity; inconsistent degrees")
     transposition = None
     result = corrected
     if moving != 1:
@@ -282,8 +270,8 @@ def degeneration_data(psi: Endo) -> DegenerationData:
     """
     degree = _check_normalized(psi)
     n = psi.n
-    images = [Poly.zero(n)] + [Poly.variable(n, i) for i in range(2, n + 1)]
-    obstruction = psi.components[0].substitute(images)
+    # the restriction to x1 = 0 keeps the terms free of x1
+    obstruction = Poly._make(n, {k: c for k, c in psi.components[0] if k[0] == 0})
     if obstruction.is_zero:
         raise NotACoordinate(
             "first component vanishes at x1 = 0, so it is divisible by x1 "
@@ -299,41 +287,34 @@ def degeneration_data(psi: Endo) -> DegenerationData:
 def torus_conjugate(psi: Endo, weight: int) -> ParamEndo:
     """Conjugate by the diagonal action of the given weight and clear t exactly.
 
-    Components are computed as pairs (required power k, numerator) meaning
-    t^-k * numerator with k = weight for the first slot and 1 otherwise;
-    the numerator must be divisible by t^k, else the residual terms are
-    returned as an overring-violation certificate.  For experimentation the
-    weight need not come from :func:`degeneration_data`; a wrong weight
-    either trips the violation or yields a different limit.
+    The action (t^w x1, t x2, ..., t xn) only regrades monomials: it sends
+    c*x^e to c*t^(w*e1 + e2 + ... + en)*x^e.  Each component is then divided
+    by t^k, with k = weight for the first slot and 1 otherwise, by shifting
+    the t-exponents of its keys.  A term whose t-exponent stays below k is a
+    genuine pole; those terms are returned, before the division, as an
+    overring-violation certificate.  For experimentation the weight need not
+    come from :func:`degeneration_data`; a wrong weight either trips the
+    violation or yields a different limit.
     """
-    action = TorusAction(psi.n, weight)
-    images = action.images()
+    n = psi.n
+    lift = TorusAction(n, weight).weight - 1  # the action checks the weight
     components = []
     for index, f in enumerate(psi.components, start=1):
         required = weight if index == 1 else 1
-        numerator = f.substitute(images)
-        if numerator.is_zero:
-            components.append(numerator)
-            continue
-        if numerator.t_valuation() < required:
-            residual = Poly(
-                psi.n,
-                {
-                    key: c
-                    for key, c in numerator.terms().items()
-                    if key[-1] < required
-                },
-            )
+        # the x-exponents are unchanged, so the keys stay distinct and canonical
+        terms = {k[:-1] + (k[-1] + lift * k[0] + sum(k[:-1]) - required,): c for k, c in f}
+        residual = {k[:-1] + (k[-1] + required,): c for k, c in terms.items() if k[-1] < 0}
+        if residual:
             raise OverringViolation(
                 f"component {index} keeps a genuine t^-{required} pole; "
                 "the input cannot be an automorphism with identity affine part",
                 {
                     "component": index,
                     "required_power": required,
-                    "residual": str(residual),
+                    "residual": str(Poly._make(n, residual)),
                 },
             )
-        components.append(numerator.divide_t(required))
+        components.append(Poly._make(n, terms))
     curve = ParamEndo(components, psi.degree())
     if curve.specialize(1) != psi:
         raise ConsistencyError("specializing the curve at t = 1 must return the source")

@@ -120,9 +120,9 @@ class Endo:
             raise DimensionError("can only compose with another endomorphism")
         if self.n != other.n:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
-        # one power table per image, shared by every component
-        tables = [_table(g) for g in other.components] + [(1, {1: Poly.t(self.n)})]
-        return Endo([f._substitute(tables) for f in self.components])
+        # one slot per image, its power table shared by every component
+        slots = [_table(g) for g in [*other.components, Poly.t(self.n)]]
+        return Endo([f._substitute(slots) for f in self.components])
 
     def __mul__(self, other):
         if isinstance(other, Endo):
@@ -143,14 +143,16 @@ class Endo:
 
     def affine_part(self) -> "Endo":
         """Truncation of each component to its constant and linear terms."""
-        out = []
-        for f in self.components:
-            kept = {k: c for k, c in f.terms().items() if sum(k[:-1]) <= 1}
-            out.append(Poly(self.n, kept))
-        return Endo(out)
+        return Endo(
+            [Poly._make(self.n, {k: c for k, c in f if sum(k) <= 1}) for f in self.components]
+        )
 
     def has_identity_affine_part(self) -> bool:
-        return self.affine_part() == Endo.identity(self.n)
+        """Component i's terms of degree at most one are exactly x_i."""
+        return all(
+            {k: c for k, c in f if sum(k) <= 1} == {_var_key(self.n, i): 1}
+            for i, f in enumerate(self.components, start=1)
+        )
 
     def linear_matrix(self) -> _linalg.Matrix:
         """The n x n matrix of linear coefficients (row i: component i)."""

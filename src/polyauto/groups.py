@@ -133,7 +133,7 @@ class TriangularMap:
                 raise DimensionError("shifts must be polynomials in the same variables")
             if p.mentions_t():
                 raise DimensionError("shifts must not involve t")
-            if any(j <= i for j in p.support_variables()):
+            if any(any(k[:i]) for k in p._terms):
                 raise DimensionError(
                     f"shift {i} may only use variables of index greater than {i}"
                 )

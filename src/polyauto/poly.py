@@ -77,13 +77,19 @@ def _power(table: dict[int, "Poly"], e: int) -> "Poly":
     return table[e]
 
 
-def _table(g: "Poly") -> tuple[int, dict[int, "Poly"]]:
-    """A substitution slot (see _substitute): (d, {1: d*g}), d the lcm of g's denominators."""
+#: The substitution slot of a zero image: its terms are dropped (see _substitute).
+_DEAD = (1, None, None)
+
+
+def _table(g: "Poly") -> tuple:
+    """The substitution slot of image g (see _substitute), or _DEAD if g is zero."""
     terms = g._terms
+    if not terms:
+        return _DEAD
     d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
     if d != 1:
         g = Poly._make(g.nvars, {k: c.numerator * (d // c.denominator) for k, c in terms.items()})
-    return d, {1: g}
+    return d, {1: g}, {1: next(iter(g._terms.items()))} if len(terms) == 1 else None
 
 
 class Poly:
@@ -191,15 +197,6 @@ class Poly:
         if len(xexps) != self.nvars:
             raise DimensionError("exponent tuple length must equal nvars")
         return _as_fraction(self._terms.get(tuple(xexps) + (t_exp,), 0))
-
-    def support_variables(self) -> set[int]:
-        """1-based indices of the x-variables that actually occur."""
-        found: set[int] = set()
-        for key in self._terms:
-            for i in range(self.nvars):
-                if key[i]:
-                    found.add(i + 1)
-        return found
 
     # -- degrees and valuations -------------------------------------------
 
@@ -394,26 +391,29 @@ class Poly:
         if t_image is not None and t_image.nvars != self.nvars:
             raise DimensionError("t image must share nvars")
         t_base = t_image if t_image is not None else Poly.t(self.nvars)
-        return self._substitute([_table(g) for g in images] + [_table(t_base)])
+        return self._substitute([_table(g) for g in [*images, t_base]])
 
-    def _substitute(self, tables: Sequence[tuple[int, dict[int, "Poly"]]]) -> "Poly":
-        # tables[slot] is (d, powers of the int image d*g) from _table.  Zero images
-        # drop their terms first.  With clear*self integral and m the top exponent
-        # per slot, c*x^e adds the int c*clear * prod d^(m-e) * prod (d*g)^e to one
+    def _substitute(self, slots: Sequence[tuple]) -> "Poly":
+        # slots[i] = _table(image of slot i): (d, powers of the int image d*g, one)
+        # with d the lcm of g's denominators.  Zero images (_DEAD) drop their
+        # terms first.  With clear*self integral and m the top exponent per slot,
+        # c*x^e adds the int c*clear * prod d^(m-e) * prod (d*g)^e to one
         # accumulator; each sum is divided once by total = clear * prod d^m.  A
         # one-term image a*x^k adds e*k to the key and a factor a**e (None if 1),
-        # kept in monos[slot][e]; others (None) multiply powers (see _power).
+        # kept in one[e]; the others (one is None) multiply powers (see _power).
+        # The slots' caches are shared by every polynomial they substitute into.
         source = self._terms
-        images = [t[1]._terms for _, t in tables]
-        dead = [i for i, g in enumerate(images) if not g]
-        if dead:
+        if _DEAD in slots:
+            dead = [i for i, slot in enumerate(slots) if slot is _DEAD]
             source = {k: c for k, c in source.items() if not any(k[i] for i in dead)}
         zero_key = (0,) * (self.nvars + 1)
         clear = lcm(*[c.denominator for c in source.values() if type(c) is not int])
-        scaled = [(i, d) for i, (d, _) in enumerate(tables) if d != 1]
-        scaled = [(i, d, max((k[i] for k in source), default=0), {0: 1}) for i, d in scaled]
+        scaled = [
+            (i, d, max((k[i] for k in source), default=0), {0: 1})
+            for i, (d, _, _) in enumerate(slots)
+            if d != 1
+        ]
         total = clear * prod(d**m for _, d, m, _ in scaled)
-        monos = [None if len(g) > 1 else {1: kv for kv in g.items()} for g in images]
         acc: dict[tuple, int] = {}
         get = acc.get
         for key, c in source.items():
@@ -424,18 +424,18 @@ class Poly:
                     dpow[k] = d**k
                 c *= dpow[k]
             product, shift = None, zero_key
-            for e, (_, table), mono in zip(key, tables, monos):
+            for e, (_, table, one) in zip(key, slots):
                 if not e:
                     continue
-                if mono is None:
+                if one is None:
                     power = _power(table, e)
                     product = power if product is None else product * power
                     continue
-                step = mono.get(e)
+                step = one.get(e)
                 if step is None:
-                    k, a = mono[1]
+                    k, a = one[1]
                     a = a**e
-                    step = mono[e] = (tuple([e * i for i in k]), None if a == 1 else a)
+                    step = one[e] = (tuple([e * i for i in k]), None if a == 1 else a)
                 k, a = step
                 shift = k if shift is zero_key else tuple(map(add, shift, k))
                 c = c if a is None else c * a

@@ -185,6 +185,25 @@ class TestTorusConjugate:
         with pytest.raises(DimensionError):
             TorusAction(2, 1)
 
+    @pytest.mark.parametrize("weight", [2.0, 2.5, "2", True])
+    def test_weight_must_be_an_int(self, weight):
+        with pytest.raises(DimensionError):
+            torus_conjugate(shear_xy(), weight)
+        with pytest.raises(DimensionError):
+            TorusAction(2, weight)
+        with pytest.raises(DimensionError):
+            TorusAction(weight, 3)
+
+    def test_pole_in_a_later_component_certified(self):
+        psi = Endo([x(2, 1) + x(2, 2) ** 2, x(2, 2) + 1])
+        with pytest.raises(OverringViolation) as info:
+            torus_conjugate(psi, 2)
+        assert info.value.certificate == {
+            "component": 2,
+            "required_power": 1,
+            "residual": "1",
+        }
+
     def test_action_at_the_reciprocal_is_the_inverse(self):
         # closure_witness builds the inverse torus map this way
         values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5)]
@@ -380,3 +399,51 @@ class TestSeededPipeline:
                 [x(n, 1) + shear_poly] + [x(n, i) for i in range(2, n + 1)]
             )
             assert degenerate(shear) == shear
+
+
+def substituted_torus_conjugate(psi, weight):
+    """The torus stage by substitution: x1 -> t^w x1, xi -> t xi, then divide by t^k."""
+    n = psi.n
+    t = Poly.t(n)
+    images = [t**weight * x(n, 1)] + [t * x(n, i) for i in range(2, n + 1)]
+    components = []
+    for index, f in enumerate(psi.components, start=1):
+        required = weight if index == 1 else 1
+        numerator = f.substitute(images)
+        if not numerator.is_zero and numerator.t_valuation() < required:
+            low = {k: c for k, c in numerator.terms().items() if k[-1] < required}
+            raise OverringViolation(
+                f"component {index} keeps a genuine t^-{required} pole; "
+                "the input cannot be an automorphism with identity affine part",
+                {"component": index, "required_power": required, "residual": str(Poly(n, low))},
+            )
+        components.append(numerator.divide_t(required))
+    return tuple(components)
+
+
+class TestTorusStageOracle:
+    def test_matches_substitution(self):
+        violations = 0
+        for k in range(24):
+            psi = normalize(sample_suite_case(k)).result
+            valuation = degeneration_data(psi).valuation
+            for weight in (valuation, valuation + 1, valuation + 2):
+                try:
+                    expected = substituted_torus_conjugate(psi, weight)
+                except OverringViolation as error:
+                    violations += 1
+                    with pytest.raises(OverringViolation) as info:
+                        torus_conjugate(psi, weight)
+                    assert info.value.certificate == error.certificate
+                    assert str(info.value) == str(error)
+                    continue
+                assert torus_conjugate(psi, weight).components == expected
+        assert violations > 0
+
+    def test_obstruction_is_the_restriction(self):
+        for k in range(24):
+            psi = normalize(sample_suite_case(k)).result
+            n = psi.n
+            images = [Poly.zero(n)] + [x(n, i) for i in range(2, n + 1)]
+            expected = psi.components[0].substitute(images)
+            assert degeneration_data(psi).obstruction == expected

@@ -241,6 +241,38 @@ class TestDegreeAndParts:
         assert shear2().has_identity_affine_part()
         assert not Endo([2 * x(2, 1), x(2, 2)]).has_identity_affine_part()
 
+    def test_identity_affine_part_matches_truncation(self):
+        # the key test agrees with comparing the truncated map to the identity
+        # on each map and on its copy with the affine part replaced by the identity
+        rng = random.Random(4242)
+        agree = set()
+        for _ in range(200):
+            sigma = selfcheck.random_endo(rng, rng.randint(1, 4))
+            n = sigma.n
+            parts = zip(sigma.components, sigma.affine_part().components, Poly.variables(n))
+            tau = Endo([f - a + v for f, a, v in parts])
+            for rho in (sigma, tau):
+                expected = rho.affine_part() == Endo.identity(n)
+                assert rho.has_identity_affine_part() == expected
+                agree.add(expected)
+        assert agree == {True, False}
+
+    @pytest.mark.parametrize(
+        "components, expected",
+        [
+            ([x(3, 1) + x(3, 2) ** 2, x(3, 2) + x(3, 1) * x(3, 3), x(3, 3)], True),
+            ([x(3, 1), 2 * x(3, 2) + x(3, 1) ** 2, x(3, 3)], False),  # 2*x2
+            ([x(3, 1), x(3, 2) + x(3, 3), x(3, 3) + x(3, 1) ** 2], False),  # extra x3
+            ([x(3, 1) + 1 + x(3, 2) ** 2, x(3, 2), x(3, 3)], False),  # constant
+            ([x(3, 2) ** 2, x(3, 2), x(3, 3)], False),  # x1 missing
+            ([x(3, 1), Poly.zero(3), x(3, 3) + x(3, 2) ** 2], False),  # zero component
+        ],
+    )
+    def test_identity_affine_part_by_hand(self, components, expected):
+        sigma = Endo(components)
+        assert sigma.has_identity_affine_part() is expected
+        assert (sigma.affine_part() == Endo.identity(3)) is expected
+
     def test_components_must_be_t_free(self):
         with pytest.raises(DimensionError):
             Endo([Poly.t(1)])

@@ -109,6 +109,16 @@ class TestTriangularMap:
         with pytest.raises(DimensionError):
             TriangularMap([1, 1], [Poly.zero(2), x(2, 2)])
 
+    def test_shift_restriction_reads_every_key(self):
+        zero = Poly.zero(3)
+        with pytest.raises(DimensionError):  # shift 2 mentions x2
+            TriangularMap([1, 1, 1], [zero, x(3, 2) * x(3, 3), zero])
+        with pytest.raises(DimensionError):  # shift 3 mentions x1
+            TriangularMap([1, 1, 1], [zero, zero, x(3, 1)])
+        shifts = [x(3, 2) * x(3, 3) + x(3, 3) ** 2 + 1, x(3, 3) ** 2 - 3, Poly.const(3, 2)]
+        beta = TriangularMap([1, 2, 1], shifts)
+        assert beta.shifts == tuple(shifts)
+
     def test_zero_scaling_rejected(self):
         with pytest.raises(DimensionError):
             TriangularMap([0, 1], [Poly.zero(2), Poly.zero(2)])
