@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionError
 
@@ -49,11 +50,21 @@ def det(matrix: Matrix) -> Fraction:
 
 
 def invert(matrix: Matrix) -> Matrix:
-    """Exact inverse, scale * (pivot * A^-1) / pivot; raises on singular input."""
+    """Exact inverse; raises on singular input."""
+    return invert_affine(matrix, [0] * len(matrix))[0]
+
+
+def invert_affine(matrix: Matrix, vector) -> tuple[Matrix, tuple[Fraction, ...]]:
+    """(M^-1, -M^-1 v) for x -> Mx + v, from R = pivot * (scale*M)^-1 on ints:
+    M^-1 = scale*R/pivot and, with v = u/L on ints, -M^-1 v = -scale*(R u)/(pivot*L)."""
     _, pivot, scale, rows = _eliminate(matrix, True)
     if not pivot:
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(Fraction(scale * v, pivot) for v in row[len(rows) :]) for row in rows)
+    rows = [row[len(rows) :] for row in rows]
+    clear = lcm(*(v.denominator for v in vector))
+    u = [v.numerator * (clear // v.denominator) for v in vector]
+    inverse = tuple(tuple(Fraction(scale * r, pivot) for r in row) for row in rows)
+    return inverse, tuple(Fraction(-scale * sum(map(mul, row, u)), pivot * clear) for row in rows)
 
 
 def mat_vec(matrix: Matrix, vector) -> tuple[Fraction, ...]:

@@ -69,10 +69,7 @@ class TorusAction:
         """The invertible diagonal map at a nonzero parameter value."""
         value = _as_fraction(t0)
         if value == 0:
-            raise InvalidSample(
-                "the torus action is not invertible at t = 0",
-                {"sample": "0"},
-            )
+            raise InvalidSample("the torus action is not invertible at t = 0", {"sample": "0"})
         return AffineMap.diagonal([value**self.weight] + [value] * (self.n - 1))
 
 
@@ -99,8 +96,7 @@ class ParamEndo:
         self.source_degree = source_degree
 
     def specialize(self, t0: Scalar) -> Endo:
-        value = _as_fraction(t0)
-        return Endo([f.with_t_set(value) for f in self.components])
+        return Endo._make(tuple([f.with_t_set(t0) for f in self.components]))
 
     def __eq__(self, other):
         if not isinstance(other, ParamEndo):

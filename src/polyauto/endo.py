@@ -109,6 +109,12 @@ class Endo:
         self._hash = None
 
     @classmethod
+    def _make(cls, components: tuple) -> "Endo":
+        self = object.__new__(cls)  # trusted: t-free Polys in len(components) variables
+        self.n, self.components, self._hash = len(components), components, None
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "Endo":
         return cls(Poly.variables(n))
 
@@ -122,7 +128,7 @@ class Endo:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
         # one slot per image, its power table shared by every component
         slots = [_table(g) for g in [*other.components, Poly.t(self.n)]]
-        return Endo([f._substitute(slots) for f in self.components])
+        return Endo._make(tuple([f._substitute(slots) for f in self.components]))
 
     def __mul__(self, other):
         if isinstance(other, Endo):

@@ -39,13 +39,17 @@ class AffineMap:
             raise DimensionError("translation length must match the matrix size")
         if _linalg.det(rows) == 0:
             raise DimensionError("affine map needs an invertible linear part")
-        self.n = n
-        self.matrix = rows
-        self.translation = vec
+        self.n, self.matrix, self.translation = n, rows, vec
+
+    @classmethod
+    def _make(cls, matrix: _linalg.Matrix, translation: tuple) -> "AffineMap":
+        self = object.__new__(cls)  # trusted: an invertible Fraction matrix and vector
+        self.n, self.matrix, self.translation = len(matrix), matrix, translation
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "AffineMap":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+        return cls.diagonal([1] * n)
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "AffineMap":
@@ -58,11 +62,11 @@ class AffineMap:
 
     @classmethod
     def diagonal(cls, scalings: Sequence[Scalar]) -> "AffineMap":
-        n = len(scalings)
-        return cls(
-            [[scalings[i] if i == j else 0 for j in range(n)] for i in range(n)],
-            [0] * n,
-        )
+        scal = [_as_fraction(a) for a in scalings]
+        if not scal or not all(scal):  # nonzero scalings are invertible: no elimination
+            raise DimensionError("a diagonal map needs nonzero scalings")
+        zero = (Fraction(0),) * len(scal)
+        return cls._make(tuple(zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(scal)), zero)
 
     @classmethod
     def from_endo(cls, sigma: Endo) -> "AffineMap":
@@ -79,11 +83,7 @@ class AffineMap:
         return Endo([Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows])
 
     def inverse(self) -> "AffineMap":
-        # past the constructor: invert's Fraction tuples are canonical, invertible
-        out = object.__new__(AffineMap)
-        out.n, out.matrix = self.n, _linalg.invert(self.matrix)
-        out.translation = tuple(-v for v in _linalg.mat_vec(out.matrix, self.translation))
-        return out
+        return AffineMap._make(*_linalg.invert_affine(self.matrix, self.translation))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, matching the endomorphism composition law."""

@@ -6,7 +6,8 @@ rational coefficients: an ``int`` where the value is integral, otherwise a
 :class:`fractions.Fraction`.  Keys have length ``nvars + 1``;
 the last slot holds the exponent of t.  The zero polynomial has an empty
 term map, zero coefficients are never stored, and equality is structural,
-so canonical forms are unique.  Substitution (so composition) runs on ints.
+so canonical forms are unique.  Substitution (so composition) and setting t
+run on ints.
 
 All values are immutable after construction and every operation is a pure
 function; polynomials can be shared freely between threads.
@@ -90,6 +91,14 @@ def _table(g: "Poly") -> tuple:
     if d != 1:
         g = Poly._make(g.nvars, {k: c.numerator * (d // c.denominator) for k, c in terms.items()})
     return d, {1: g}, {1: next(iter(g._terms.items()))} if len(terms) == 1 else None
+
+
+def _quotient(nvars: int, acc: dict, total: int) -> "Poly":
+    """The Poly of acc's nonzero int sums, each divided exactly by total."""
+    out = {k: v for k, v in acc.items() if v}
+    if total != 1:
+        out = {k: Fraction(v, total) if v % total else v // total for k, v in out.items()}
+    return Poly._make(nvars, out)
 
 
 class Poly:
@@ -448,28 +457,26 @@ class Poly:
             for k, v in items:
                 old = get(k)
                 acc[k] = v if old is None else old + v
-        out = {k: v for k, v in acc.items() if v}
-        if total != 1:
-            out = {k: Fraction(v, total) if v % total else v // total for k, v in out.items()}
-        return Poly._make(self.nvars, out)
+        return _quotient(self.nvars, acc, total)
 
     def with_t_set(self, value: Scalar) -> "Poly":
-        """Specialize t to an exact rational value."""
-        v = _norm_coeff(_as_fraction(value))
-        t_powers = {}
-        acc: dict[tuple, Scalar] = {}
-        get = acc.get
+        """Specialize t to an exact rational t0 = p/q, on ints: with clear*self integral
+        and m the top t-exponent (0 if q = 1), c*x^k*t^e adds c*clear * p^e * q^(m-e)
+        to one accumulator, and each sum is divided once by clear * q^m."""
+        p, q = _as_fraction(value).as_integer_ratio()
+        clear = lcm(*[c.denominator for c in self._terms.values() if type(c) is not int])
+        m = max(k[-1] for k in self._terms) if q != 1 and self._terms else 0
+        factors = {0: q**m}
+        acc: dict[tuple, int] = {}
         for key, c in self._terms.items():
+            c = c * clear if type(c) is int else c.numerator * (clear // c.denominator)
             e = key[-1]
-            if e:
-                f = t_powers.get(e)
-                if f is None:
-                    f = t_powers[e] = v**e
-                c = f * c
-            nk = key[:-1] + (0,)
-            old = get(nk)
-            acc[nk] = c if old is None else old + c
-        return Poly._make(self.nvars, {k: _norm_coeff(c) for k, c in acc.items() if c})
+            f = factors.get(e)
+            if f is None:  # when q == 1, m = 0 and q**(m - e) would be the float 1.0
+                f = factors[e] = p**e if q == 1 else p**e * q ** (m - e)
+            key = key[:-1] + (0,)
+            acc[key] = acc.get(key, 0) + c * f
+        return _quotient(self.nvars, acc, clear * factors[0])
 
     def divide_t(self, power: int) -> "Poly":
         """Exact division by t**power; every term must carry at least that power."""

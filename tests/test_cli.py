@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from hashlib import sha256
 
 import pytest
 
@@ -188,6 +189,54 @@ class TestCurve:
         assert out.count("degree 5") == 3
         assert "limit: [-2*x2^3 + x1, x2, x3]" in out
         assert "verify_limit pass: True" in out
+
+    # Byte goldens of stdout at t0 = 1, -1, 2, 1/2, -2/3, 3/7, for an integral and
+    # a fractional source; the sha256 prefixes pin the bytes the texts were taken from.
+    GOLDEN_SAMPLES = "1,-1,2,1/2,-2/3,3/7"
+    NAGATA_GOLDEN = (
+        "t = 1: [-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 - 2*x1*x2*x3"
+        " - 2*x2^3 + x1, x1*x3^2 + x2^2*x3 + x2, x3] (degree 5)\n"
+        "t = -1: [-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 - 2*x1*x2*x3"
+        " - 2*x2^3 + x1, x1*x3^2 + x2^2*x3 + x2, x3] (degree 5)\n"
+        "t = 2: [-64*x1^2*x3^3 - 32*x1*x2^2*x3^2 - 4*x2^4*x3 - 8*x1*x2*x3"
+        " - 2*x2^3 + x1, 16*x1*x3^2 + 4*x2^2*x3 + x2, x3] (degree 5)\n"
+        "t = 1/2: [-1/64*x1^2*x3^3 - 1/8*x1*x2^2*x3^2 - 1/4*x2^4*x3 - 1/2*x1*x2*x3"
+        " - 2*x2^3 + x1, 1/16*x1*x3^2 + 1/4*x2^2*x3 + x2, x3] (degree 5)\n"
+        "t = -2/3: [-64/729*x1^2*x3^3 - 32/81*x1*x2^2*x3^2 - 4/9*x2^4*x3 - 8/9*x1*x2*x3"
+        " - 2*x2^3 + x1, 16/81*x1*x3^2 + 4/9*x2^2*x3 + x2, x3] (degree 5)\n"
+        "t = 3/7: [-729/117649*x1^2*x3^3 - 162/2401*x1*x2^2*x3^2 - 9/49*x2^4*x3"
+        " - 18/49*x1*x2*x3 - 2*x2^3 + x1, 81/2401*x1*x3^2 + 9/49*x2^2*x3 + x2, x3] (degree 5)\n"
+        "limit: [-2*x2^3 + x1, x2, x3]\n"
+        "w = 3, d = 5\n"
+        "verify_limit pass: True\n"
+    )
+    FRACTIONAL_SOURCE = "[2*x1 + 1/3*x2^2 + x2^3, x2]"
+    FRACTIONAL_GOLDEN = (
+        "t = 1: [1/2*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+        "t = -1: [-1/2*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+        "t = 2: [x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+        "t = 1/2: [1/4*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+        "t = -2/3: [-1/3*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+        "t = 3/7: [3/14*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+        "limit: [1/6*x2^2 + x1, x2]\n"
+        "w = 2, d = 3\n"
+        "verify_limit pass: True\n"
+    )
+
+    def test_nagata_golden(self, capsys):
+        _, nagata_text, _ = run_cli(capsys, "nagata")
+        code, out, _ = run_cli(capsys, "curve", "--samples", self.GOLDEN_SAMPLES, nagata_text)
+        assert code == 0
+        assert out == self.NAGATA_GOLDEN
+        assert sha256(out.encode()).hexdigest().startswith("d2497943")
+
+    def test_fractional_source_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "curve", "--samples", self.GOLDEN_SAMPLES, self.FRACTIONAL_SOURCE
+        )
+        assert code == 0
+        assert out == self.FRACTIONAL_GOLDEN
+        assert sha256(out.encode()).hexdigest().startswith("67a171f8")
 
     def test_zero_sample_rejected(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "--samples", "0", "[x1 + x2^2, x2]")

@@ -39,7 +39,7 @@ from polyauto.errors import (
     OverringViolation,
     SingularAffinePart,
 )
-from polyauto.groups import nagata, random_tame_word
+from polyauto.groups import AffineMap, nagata, random_tame_word
 from polyauto.parsing import parse_endo
 
 
@@ -212,6 +212,20 @@ class TestTorusConjugate:
                 action = TorusAction(n, w)
                 for v in values:
                     assert action.at(1 / Fraction(v)) == action.at(v).inverse()
+
+    @pytest.mark.parametrize("t0", [-2, Fraction(-1, 2), Fraction(3, 7)], ids=str)
+    def test_action_is_the_checked_diagonal(self, t0):
+        # at() skips elimination; the checked constructor and inverse must agree
+        for n in range(1, 5):
+            for w in (2, 3, 5):
+                alpha = TorusAction(n, w).at(t0)
+                scalings = [Fraction(t0) ** w] + [Fraction(t0)] * (n - 1)
+                dense = AffineMap(
+                    [[scalings[i] if i == j else 0 for j in range(n)] for i in range(n)],
+                    [0] * n,
+                )
+                assert alpha == dense and hash(alpha) == hash(dense)
+                assert alpha.inverse() == TorusAction(n, w).at(1 / Fraction(t0))
 
 
 class TestSpecialize:

@@ -9,9 +9,11 @@ from math import comb
 import pytest
 
 from polyauto import Poly, selfcheck
+from polyauto.degeneration import TorusAction, degeneration_data, normalize, torus_conjugate
 from polyauto.endo import CoeffVector, Endo, monomials_upto, poly_det
 from polyauto.errors import DegenerateInput, DimensionError, FiltrationError
 from polyauto.groups import AffineMap, random_affine, random_triangular
+from test_degeneration import sample_suite_case
 from test_poly import assert_canonical, dict_substitute
 
 
@@ -276,6 +278,39 @@ class TestDegreeAndParts:
     def test_components_must_be_t_free(self):
         with pytest.raises(DimensionError):
             Endo([Poly.t(1)])
+
+
+class TestTrustedResults:
+    """compose and ParamEndo.specialize build their results past the
+    constructor's checks; the public constructor keeps every check."""
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [x(2, 1) + Poly.t(2), x(2, 2)],
+            [x(3, 1), x(3, 2)],
+            [x(2, 1), "x2"],
+        ],
+        ids=["t-component", "nvars-mismatch", "not-a-poly"],
+    )
+    def test_public_constructor_still_checks(self, components):
+        with pytest.raises(DimensionError):
+            Endo(components)
+
+    def test_results_survive_revalidation(self):
+        results = []
+        for k in range(24):
+            psi = normalize(sample_suite_case(k)).result
+            valuation = degeneration_data(psi).valuation
+            curve = torus_conjugate(psi, valuation)
+            action = TorusAction(psi.n, valuation)
+            for t0 in (1, -1, Fraction(1, 2), Fraction(-2, 3)):
+                results.append(curve.specialize(t0))
+                inner = psi.compose(action.at(t0).to_endo())
+                results += [inner, action.at(1 / Fraction(t0)).to_endo().compose(inner)]
+        for r in results:
+            assert type(r.components) is tuple
+            assert Endo(list(r.components)) == r
 
 
 class TestPredicates:

@@ -53,6 +53,51 @@ class TestAffineMap:
             assert alpha.to_endo().compose(alpha.inverse().to_endo()) == Endo.identity(3)
             assert alpha.compose(alpha.inverse()) == AffineMap.identity(3)
 
+    def test_inverse_translation_matches_fraction_oracle(self):
+        # -(A^-1 v) by plain Fractions: Gauss-Jordan on [A | v], test-local
+        def oracle(matrix, vector):
+            n = len(matrix)
+            rows = [list(row) + [v] for row, v in zip(matrix, vector)]
+            for k in range(n):
+                p = next(r for r in range(k, n) if rows[r][k])
+                rows[k], rows[p] = rows[p], rows[k]
+                rows[k] = [a / rows[k][k] for a in rows[k]]
+                for i in range(n):
+                    if i != k:
+                        rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+            return tuple(-row[n] for row in rows)
+
+        rng = random.Random(1212)
+        for seed in range(200):
+            alpha = random_affine(2 + seed % 3, seed)
+            shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(alpha.n)]
+            alpha = AffineMap(alpha.matrix, shift)
+            inverse = alpha.inverse()
+            assert inverse.translation == oracle(alpha.matrix, shift)
+            assert all(type(v) is Fraction for v in inverse.translation)
+            assert alpha.compose(inverse) == AffineMap.identity(alpha.n)
+
+    def test_diagonal_matches_the_checked_constructor(self):
+        for scalings in ([3], [2, Fraction(-1, 2)], [Fraction(3, 7), -5, 1], [1, 1, 1, 1]):
+            n = len(scalings)
+            dense = AffineMap(
+                [[scalings[i] if i == j else 0 for j in range(n)] for i in range(n)], [0] * n
+            )
+            diagonal = AffineMap.diagonal(scalings)
+            assert diagonal == dense
+            assert hash(diagonal) == hash(dense)
+            assert diagonal.inverse() == dense.inverse()
+        assert AffineMap.identity(3) == AffineMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0])
+
+    @pytest.mark.parametrize("scalings", [[1, 0], [0], []])
+    def test_diagonal_rejects_zero_and_empty(self, scalings):
+        with pytest.raises(DimensionError):
+            AffineMap.diagonal(scalings)
+
+    def test_diagonal_rejects_floats(self):
+        with pytest.raises(TypeError):
+            AffineMap.diagonal([1, 0.5])
+
     def test_transposition(self):
         swap = AffineMap.transposition(2, 1, 2)
         assert swap.to_endo() == Endo([x(2, 2), x(2, 1)])

@@ -490,20 +490,26 @@ class TestTParameter:
         assert p.with_t_set(1) == x(1, 1) + x(1, 1) ** 2
         assert p.with_t_set(Fraction(1, 2)) == x(1, 1) + x(1, 1) ** 2 / 2
 
-    # Fraction(4, 2) is the integral Fraction 2/1; integral outputs must still be ints
+    @staticmethod
+    def with_t_set_oracle(p, value):
+        """with_t_set on plain term dicts: each term times a Fraction power of value."""
+        v = Fraction(value)
+        out = {}
+        for key, c in p.terms().items():
+            k = key[:-1] + (0,)
+            out[k] = out.get(k, 0) + Fraction(c) * v ** key[-1]
+        return {k: c for k, c in out.items() if c}
+
+    # Fraction(4, 2) and Fraction(-6, 3) are integral Fractions; integral
+    # outputs must still be ints
     @pytest.mark.parametrize(
-        "value", [0, 1, -1, 2, Fraction(1, 2), Fraction(4, 2)], ids=repr
+        "value",
+        [0, 1, -1, 2, Fraction(1, 2), Fraction(4, 2)]
+        + [Fraction(-1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-6, 3)],
+        ids=repr,
     )
     def test_with_t_set_matches_dict_oracle(self, value):
         v = Fraction(value)
-
-        def oracle(p):
-            out = {}
-            for key, c in p.terms().items():
-                k = key[:-1] + (0,)
-                out[k] = out.get(k, 0) + Fraction(c) * v ** key[-1]
-            return {k: c for k, c in out.items() if c}
-
         x1, x2, t = x(2, 1), x(2, 2), Poly.t(2)
         # x1*t - v*x1 cancels at t = v; the x2 term comes out as exactly 1
         cases = [x1 * t - v * x1 + x2 * t**2 / (v**2 if v else 1) + Fraction(3, 2)]
@@ -512,10 +518,21 @@ class TestTParameter:
             cases.append(random_poly(rng, 1 + case % 3, 4, 6, with_t=True))
         for p in cases:
             result = p.with_t_set(value)
-            assert result.terms() == oracle(p)
+            assert result.terms() == self.with_t_set_oracle(p, value)
             assert_canonical(result)
         expected = {(0, 0, 0): Fraction(3, 2), (0, 1, 0): 1} if v else {(0, 0, 0): Fraction(3, 2)}
         assert cases[0].with_t_set(value).terms() == expected
+
+    def test_with_t_set_sparse_top_power(self):
+        # t^0 beside t^60: the untouched term is scaled by q^60 and divided back
+        x1, x2, t = x(2, 1), x(2, 2), Poly.t(2)
+        p = 7 * x1 + Fraction(5, 4) * x2 * t**60 - Fraction(1, 3) * t**60 + x1 * x2 * t
+        value = Fraction(2, 3)
+        result = p.with_t_set(value)
+        assert result.terms() == self.with_t_set_oracle(p, value)
+        assert result.coefficient((1, 0)) == 7
+        assert result.coefficient((0, 1)) == Fraction(5, 4) * value**60
+        assert_canonical(result)
 
     def test_divide_t_exact(self):
         p = Poly.t(1) ** 2 * x(1, 1) + Poly.t(1) ** 3
