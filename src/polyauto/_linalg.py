@@ -66,14 +66,3 @@ def invert_affine(matrix: Matrix, vector) -> tuple[Matrix, tuple[Fraction, ...]]
     inverse = tuple(tuple(Fraction(scale * r, pivot) for r in row) for row in rows)
     return inverse, tuple(Fraction(-scale * sum(map(mul, row, u)), pivot * clear) for row in rows)
 
-
-def mat_vec(matrix: Matrix, vector) -> tuple[Fraction, ...]:
-    return tuple(sum((a * b for a, b in zip(row, vector)), Fraction(0)) for row in matrix)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )

@@ -293,6 +293,8 @@ def _cmd_random_tame(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    if args.cases < 0 or args.shear_cases < 0:
+        raise _UsageError("--cases and --shear-cases must not be negative")
     # timings are deliberately omitted: identical invocations must produce
     # byte-identical output
     results = selfcheck_suites.run_all(args.cases, args.shear_cases)

@@ -257,7 +257,9 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     Dynamic programming over column subsets (Laplace expansion with shared
     minors): n * 2^(n-1) entry-by-minor products instead of the n! of a
     naive permanent-style expansion, with rows taken sparsest first so the
-    dense rows only multiply the final minors.  The expansion runs on
+    dense rows only multiply the final minors.  Each product's sign is its
+    Leibniz inversion count against the entries already taken, so that row
+    order needs no correcting sign at the end.  The expansion runs on
     Kronecker-packed integers (:class:`_Packing`): each row is multiplied
     by the lcm of its denominators, the coefficients of one dense slot (the
     one of largest degree bound) share one int in B-bit fields, the other
@@ -286,18 +288,20 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
         raise DimensionError("matrix entries must share nvars")
     packing = _Packing(rows, nvars)
     order = sorted(range(n), key=lambda i: sum(map(len, packing.rows[i])))
-    # minors[S] = det of the submatrix on the first k ordered rows and the
-    # columns in the bit set S
+    # minors[S] = det of the submatrix on the first k ordered rows, kept in
+    # index order, and the columns in the bit set S
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
     for k, i in enumerate(order):
+        below = sum(r < i for r in order[:k])
         new: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(packing.rows[i]):
                 bit = 1 << j
                 if cols & bit or not entry:
                     continue
-                # cofactor sign: row parity k plus position of j in the enlarged set
-                negate = (k + (cols & (bit - 1)).bit_count()) & 1
+                # Leibniz sign: (i, j) against each taken (r, c), the parity of
+                # [r < i] + [c < j] equals that of the inversion [r < i] != [c < j]
+                negate = (below + (cols & (bit - 1)).bit_count()) & 1
                 acc = new.setdefault(cols | bit, {})
                 get = acc.get
                 for ka, ca in entry.items():
@@ -313,8 +317,7 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
                 minors[cols] = acc
         if not minors:
             return Poly.zero(nvars)
-    determinant = packing.unpack(minors[(1 << n) - 1])
-    return -determinant if _permutation_parity(order) else determinant
+    return packing.unpack(minors[(1 << n) - 1])
 
 
 class _Packing:
@@ -401,18 +404,3 @@ class _Packing:
                 e += 1
         return Poly._make(self.nvars, out)
 
-
-def _permutation_parity(order: Sequence[int]) -> int:
-    seen = [False] * len(order)
-    parity = 0
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity

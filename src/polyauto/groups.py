@@ -80,18 +80,15 @@ class AffineMap:
         # the keys of x1..xn, then of the constant; zero coefficients are dropped
         keys = [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
         rows = [zip(keys, row + (v,)) for row, v in zip(self.matrix, self.translation)]
-        return Endo([Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows])
+        components = [Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows]
+        return Endo._make(tuple(components))
 
     def inverse(self) -> "AffineMap":
         return AffineMap._make(*_linalg.invert_affine(self.matrix, self.translation))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, matching the endomorphism composition law."""
-        if self.n != other.n:
-            raise DimensionError("affine maps on different variable counts")
-        matrix = _linalg.mat_mul(self.matrix, other.matrix)
-        shift = _linalg.mat_vec(self.matrix, other.translation)
-        return AffineMap(matrix, [a + b for a, b in zip(shift, self.translation)])
+        return AffineMap.from_endo(self.to_endo().compose(other.to_endo()))
 
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
@@ -142,12 +139,6 @@ class TriangularMap:
         self.shifts = shifts
 
     @classmethod
-    def elementary(cls, n: int, shift: Poly) -> "TriangularMap":
-        """x1 -> x1 + shift(x2..xn), all other variables fixed."""
-        shifts = [shift] + [Poly.zero(n) for _ in range(n - 1)]
-        return cls([1] * n, shifts)
-
-    @classmethod
     def from_endo(cls, sigma: Endo) -> "TriangularMap":
         """Pop each component's x_i term; the constructor rejects what is not triangular."""
         scalings = []
@@ -159,8 +150,8 @@ class TriangularMap:
         return cls(scalings, shifts)
 
     def to_endo(self) -> Endo:
-        pairs = zip(self.scalings, self.shifts)
-        return Endo([_component(self.n, i, a, p) for i, (a, p) in enumerate(pairs, start=1)])
+        pairs = enumerate(zip(self.scalings, self.shifts), start=1)
+        return Endo._make(tuple(_component(self.n, i, a, p) for i, (a, p) in pairs))
 
     def inverse(self) -> "TriangularMap":
         """Back-substitution upward: component i is x_i/a_i + q_i, q_i = -p_i(y)/a_i."""

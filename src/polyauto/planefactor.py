@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .endo import Endo
 from .errors import DegenerateInput, DimensionError, NotAnAutomorphism
-from .groups import AffineMap, Generator, TriangularMap, Word
+from .groups import AffineMap, Generator, TriangularMap, Word, generator_to_endo
 from .poly import NEG_INF, Poly
 
 
@@ -88,44 +88,25 @@ class PlaneFactorization:
     def __post_init__(self):
         if self.word.to_endo() != self.source:
             raise DegenerateInput("factorization word does not recompose to the source")
-        kinds = [_kind(gen) for gen, _ in self.word.letters]
-        if any(k == "opaque" for k in kinds):
+        types = [type(gen) for gen, _ in self.word.letters]
+        if not {AffineMap, TriangularMap}.issuperset(types):
             raise DegenerateInput("plane factorizations use only affine/triangular letters")
-        if any(a == b for a, b in zip(kinds, kinds[1:])):
+        if any(a is b for a, b in zip(types, types[1:])):
             raise DegenerateInput("letters must alternate between affine and triangular")
 
 
-def _kind(gen: Generator) -> str:
-    if isinstance(gen, AffineMap):
-        return "affine"
-    if isinstance(gen, TriangularMap):
-        return "triangular"
-    return "opaque"
-
-
-def _is_identity_letter(gen: Generator) -> bool:
-    if isinstance(gen, AffineMap):
-        return gen == AffineMap.identity(gen.n)
-    if isinstance(gen, TriangularMap):
-        return all(a == 1 for a in gen.scalings) and all(p.is_zero for p in gen.shifts)
-    return False
-
-
 def _merge_letters(letters: list[tuple[Generator, int]]) -> list[tuple[Generator, int]]:
-    """Fuse adjacent same-kind letters and drop identities; kinds then alternate."""
+    """Fuse adjacent letters of one type and drop identities; types then alternate."""
     merged: list[tuple[Generator, int]] = []
-    for letter in letters:
-        if _is_identity_letter(letter[0]):
+    for gen, exp in letters:
+        if gen.to_endo().is_identity():  # a letter is the identity iff its inverse is
             continue
-        if merged and _kind(merged[-1][0]) == _kind(letter[0]):
-            prev_gen, prev_exp = merged.pop()
-            a = prev_gen if prev_exp == 1 else prev_gen.inverse()
-            b = letter[0] if letter[1] == 1 else letter[0].inverse()
-            fused = a.compose(b)
-            if not _is_identity_letter(fused):
-                merged.append((fused, 1))
+        if merged and type(merged[-1][0]) is type(gen):
+            fused = generator_to_endo(*merged.pop()).compose(generator_to_endo(gen, exp))
+            if not fused.is_identity():
+                merged.append((type(gen).from_endo(fused), 1))
         else:
-            merged.append(letter)
+            merged.append((gen, exp))
     return merged
 
 
@@ -139,29 +120,10 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
         raise DimensionError("plane factorization is defined for n = 2 only")
 
     jacobian = sigma.jacobian_det()
-    if not jacobian.is_constant() or jacobian.is_zero:
-        certificate = RejectionCertificate(
-            reason="jacobian",
-            stage=0,
-            multidegree=tuple(f.total_degree() for f in sigma.components),
-            detail="the Jacobian determinant is not a nonzero constant",
-            jacobian=jacobian,
-        )
-        error = NotAnAutomorphism(
-            "not an automorphism: non-constant Jacobian determinant",
-            certificate.as_dict(),
-        )
-        error.rejection = certificate
-        raise error
-
     current = sigma
-    inverse_letters: list[tuple[Generator, int]] = []
-    steps: list[ReductionStep] = []
     stage = 0
-    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
-    swap = AffineMap.transposition(2, 1, 2)
 
-    def reject(reason: str, detail: str) -> NotAnAutomorphism:
+    def reject(reason: str, detail: str, summary: str | None = None) -> NotAnAutomorphism:
         certificate = RejectionCertificate(
             reason=reason,
             stage=stage,
@@ -169,9 +131,22 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
             detail=detail,
             jacobian=jacobian,
         )
-        error = NotAnAutomorphism(f"not an automorphism: {detail}", certificate.as_dict())
+        message = f"not an automorphism: {summary or detail}"
+        error = NotAnAutomorphism(message, certificate.as_dict())
         error.rejection = certificate
         return error
+
+    if not jacobian.is_constant() or jacobian.is_zero:
+        raise reject(
+            "jacobian",
+            "the Jacobian determinant is not a nonzero constant",
+            "non-constant Jacobian determinant",
+        )
+
+    inverse_letters: list[tuple[Generator, int]] = []
+    steps: list[ReductionStep] = []
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    swap = AffineMap.transposition(2, 1, 2)
 
     while True:
         f, g = current.components

@@ -336,3 +336,13 @@ class TestSelfcheckSmoke:
         names = [suite["name"] for suite in payload["suites"]]
         assert "degeneration-pipeline" in names
         assert "curve-rigidity" in names
+
+    @pytest.mark.parametrize(
+        "counts",
+        [["--cases", "-3", "--shear-cases", "-1"], ["--cases", "-1"], ["--shear-cases", "-1"]],
+    )
+    def test_negative_counts_are_usage_errors(self, capsys, counts):
+        code, out, err = run_cli(capsys, "selfcheck", *counts)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:")

@@ -99,6 +99,9 @@ class TestComposition:
         ident = Endo.identity(2)
         assert ident.compose(sigma) == sigma
         assert sigma.compose(ident) == sigma
+        assert ident.is_identity()
+        assert not sigma.is_identity()
+        assert not Endo([x(2, 2), x(2, 1)]).is_identity()
 
     def test_hand_composition(self):
         # (x1+x2^2, x2) after (x1, x1+x2): f1 = x1 + (x1+x2)^2

@@ -114,6 +114,18 @@ class TestAffineMap:
         with pytest.raises(DimensionError):
             AffineMap.transposition(2, 0, 1)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (AffineMap.identity(2), AffineMap.identity(3)),
+            (random_triangular(3, 1, 2), random_triangular(2, 1, 2)),
+        ],
+        ids=["affine", "triangular"],
+    )
+    def test_compose_on_mismatched_n(self, a, b):
+        with pytest.raises(DimensionError):
+            a.compose(b)
+
     def test_from_endo_round_trip(self):
         rng = random.Random(99)
         maps = [random_affine(n, rng) for n in (1, 2, 3, 4) for _ in range(10)]
@@ -124,6 +136,7 @@ class TestAffineMap:
         for alpha in maps:
             endo = alpha.to_endo()
             assert AffineMap.from_endo(endo) == alpha
+            assert Endo(list(endo.components)) == endo  # built past the checks
             for row, v, f in zip(alpha.matrix, alpha.translation, endo.components):
                 # no zero coefficient is stored, and integral ones are ints
                 assert len(f) == sum(1 for c in row + (v,) if c)
@@ -208,6 +221,7 @@ class TestTriangularMap:
             endo = beta.to_endo()
             for f in endo.components:
                 assert_canonical(f)
+            assert Endo(list(endo.components)) == endo  # built past the checks
             assert TriangularMap.from_endo(endo) == beta
             inv = beta.inverse()
             assert inv.inverse() == beta

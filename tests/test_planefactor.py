@@ -1,14 +1,16 @@
 """Tests for the plane degree-reduction factorization."""
 
+import json
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
-from polyauto import Poly
+from polyauto import Poly, selfcheck
 from polyauto.endo import Endo
 from polyauto.errors import DegenerateInput, DimensionError, NotAnAutomorphism
-from polyauto.groups import AffineMap, TriangularMap, Word, random_tame_word
+from polyauto.groups import AffineMap, TriangularMap, Word, format_word, random_tame_word
 from polyauto.planefactor import (
     PlaneFactorization,
     factor_plane,
@@ -115,6 +117,7 @@ class TestIsPlaneAutomorphism:
         ok, fac = is_plane_automorphism(Endo([x(1) + x(2) ** 2, x(2)]))
         assert ok
         assert fac.word.to_endo() == Endo([x(1) + x(2) ** 2, x(2)])
+        assert len(fac.word) == 1  # the identity affine letter that ends it is dropped
 
     def test_false_with_certificate(self):
         ok, certificate = is_plane_automorphism(Endo([x(1) ** 2, x(2)]))
@@ -156,3 +159,29 @@ class TestRoundTrip:
         for gen, exp in fac.word.letters:
             assert isinstance(gen, (AffineMap, TriangularMap))
             assert exp in (1, -1)
+
+    def test_corpus_golden(self):
+        # Byte pin of the words, steps and rejections over a fixed corpus: 800
+        # seeded plane words (their letters fuse, some to the identity) and 300
+        # random maps (mostly Jacobian rejections); the sha256 prefix pins the bytes.
+        digest = sha256()
+
+        def put(text):
+            digest.update(text.encode() + b"\n")
+
+        for s in range(400):
+            for d in (2, 3):
+                fac = factor_plane(random_tame_word(2, s, 1 + s % 6, d).to_endo())
+                put(format_word(fac.word))
+                for step in fac.steps:
+                    put(str(step))
+        rng = random.Random(5)
+        for _ in range(300):
+            try:
+                fac = factor_plane(selfcheck.random_endo(rng, 2))
+            except NotAnAutomorphism as error:
+                put(str(error))
+                put(json.dumps(error.certificate))
+            else:
+                put(format_word(fac.word))
+        assert digest.hexdigest().startswith("3074949f")
