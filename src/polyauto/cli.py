@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from math import inf
 
-from .degeneration import _closure_samples, witness_report
+# Each verb imports the modules it needs beyond these, so a process pays
+# only for the verb it runs.
 from .endo import Endo
 from .errors import (
     AlgebraError,
@@ -28,10 +28,6 @@ from .errors import (
     MissingInverse,
     ParseError,
 )
-from .groups import format_word, nagata, random_tame_word
-from .parsing import parse_endo, parse_rational_list
-from .planefactor import factor_plane
-from . import selfcheck as selfcheck_suites
 
 
 class _UsageError(Exception):
@@ -102,6 +98,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_endo(text: str) -> Endo:
+    from .parsing import parse_endo
+
     if text == "-":
         text = sys.stdin.read()
     return parse_endo(text)
@@ -177,6 +175,8 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .parsing import parse_rational_list
+
     sigma = _load_endo(args.endo)
     point = parse_rational_list(args.point)
     image = sigma(point)
@@ -186,6 +186,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
+    from .degeneration import witness_report
+
     report = witness_report(_load_endo(args.endo))
     _emit(
         _report_json(report),
@@ -199,6 +201,8 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .degeneration import witness_report
+
     report = witness_report(_load_endo(args.endo))
     record = report.normalization
     lines = [
@@ -227,6 +231,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .degeneration import _closure_samples, witness_report
+    from .parsing import parse_rational_list
+
     sigma = _load_endo(args.endo)
     samples = parse_rational_list(args.samples)
     report = witness_report(sigma)
@@ -249,6 +256,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_factor2(args) -> int:
+    from .groups import format_word
+    from .planefactor import factor_plane
+
     sigma = _load_endo(args.endo)
     factorization = factor_plane(sigma)
     word_text = format_word(factorization.word)
@@ -267,6 +277,8 @@ def _cmd_factor2(args) -> int:
 
 
 def _cmd_nagata(args) -> int:
+    from .groups import nagata
+
     forward, backward = nagata()
     chosen = backward if args.inverse else forward
     _emit(
@@ -278,6 +290,8 @@ def _cmd_nagata(args) -> int:
 
 
 def _cmd_random_tame(args) -> int:
+    from .groups import format_word, random_tame_word
+
     word = random_tame_word(args.n, args.seed, args.length, args.dmax)
     endo = word.to_endo()
     payload = {
@@ -293,11 +307,13 @@ def _cmd_random_tame(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    if args.cases < 0 or args.shear_cases < 0:
-        raise _UsageError("--cases and --shear-cases must not be negative")
+    if args.cases < 1 or args.shear_cases < 1:
+        raise _UsageError("--cases and --shear-cases must be at least 1")
+    from .selfcheck import run_all
+
     # timings are deliberately omitted: identical invocations must produce
     # byte-identical output
-    results = selfcheck_suites.run_all(args.cases, args.shear_cases)
+    results = run_all(args.cases, args.shear_cases)
     payload = {
         "suites": [
             {

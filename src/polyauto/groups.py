@@ -392,6 +392,8 @@ def random_tame_word(
     :meth:`Word.inverse`, whose triangular letters may have higher degree
     than the originals.
     """
+    if n < 1:
+        raise DimensionError("n must be at least 1")
     if length < 1:
         raise DimensionError("word length must be at least 1")
     rng = _rng(seed)

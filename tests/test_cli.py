@@ -1,12 +1,15 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from hashlib import sha256
 
 import pytest
 
+import polyauto
 from polyauto import Poly
 from polyauto.cli import main
 
@@ -305,6 +308,13 @@ class TestRandomTame:
         _, out2, _ = run_cli(capsys, "random-tame", "--n", "3", "--seed", "8")
         assert out1 != out2
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_dimension_below_one_is_an_error_naming_n(self, capsys, n):
+        code, out, err = run_cli(capsys, "random-tame", "--n", n, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: n must be at least 1\n"
+
 
 class TestStdinAndErrors:
     def test_stdin_operand(self, capsys, monkeypatch):
@@ -339,10 +349,53 @@ class TestSelfcheckSmoke:
 
     @pytest.mark.parametrize(
         "counts",
-        [["--cases", "-3", "--shear-cases", "-1"], ["--cases", "-1"], ["--shear-cases", "-1"]],
+        [
+            ["--cases", "-3", "--shear-cases", "-1"],
+            ["--cases", "-1"],
+            ["--shear-cases", "-1"],
+            ["--cases", "0"],
+            ["--shear-cases", "0"],
+        ],
     )
     def test_negative_counts_are_usage_errors(self, capsys, counts):
         code, out, err = run_cli(capsys, "selfcheck", *counts)
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
+class TestImportIsolation:
+    """A verb loads only the modules it uses."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from polyauto.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+    HEAVY = {"polyauto.degeneration", "polyauto.planefactor", "polyauto.selfcheck", "dataclasses"}
+
+    def loaded_by(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polyauto.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        code, modules = json.loads(done.stdout)
+        assert code == 0
+        return set(modules)
+
+    @pytest.mark.parametrize(
+        "argv", [("info", "[x1 + x2^2, x2]"), ("compose", "[x2, x1]", "[x1 + x2^2, x2]"), ("nagata",)]
+    )
+    def test_light_verbs_skip_heavy_modules(self, argv):
+        loaded = self.loaded_by(*argv)
+        assert "polyauto.endo" in loaded
+        assert sorted(loaded & self.HEAVY) == []
+        if argv[0] == "info":
+            assert "polyauto.groups" not in loaded

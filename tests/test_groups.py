@@ -319,6 +319,11 @@ class TestSamplers:
             word = random_tame_word(2, seed, length, dmax)
             assert word.to_endo().degree() <= dmax**length
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_dimension_below_one_names_n(self, n):
+        with pytest.raises(DimensionError, match="^n must be at least 1$"):
+            random_tame_word(n, 1, 4, 3)
+
     def test_sampled_words_have_constant_nonzero_jacobian(self):
         for seed in range(100):
             n = 2 + seed % 3
