@@ -400,7 +400,9 @@ def _closure_samples(
             )
         alpha = action.at(value)
         image = curve.specialize(value)
-        # the action at 1 / value is alpha's exact inverse: no elimination
+        # the action at 1 / value is alpha's exact inverse: no elimination.  Both maps
+        # are diagonal, so compose scales psi's components and then regrades their
+        # keys per variable (Poly._scale, Poly._regrade), apart from with_t_set's path
         conjugate = action.at(1 / value).to_endo().compose(psi).compose(alpha.to_endo())
         if image != conjugate:
             raise ConsistencyError(

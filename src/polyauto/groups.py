@@ -58,7 +58,8 @@ class AffineMap:
             raise DimensionError(f"transposition indices must lie in 1..{n}")
         perm = list(range(n))
         perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-        return cls([[int(perm[r] == c) for c in range(n)] for r in range(n)], [0] * n)
+        base = cls.identity(n)  # permuted rows of the identity are invertible: no elimination
+        return cls._make(tuple(base.matrix[p] for p in perm), base.translation)
 
     @classmethod
     def diagonal(cls, scalings: Sequence[Scalar]) -> "AffineMap":

@@ -7,7 +7,9 @@ rational coefficients: an ``int`` where the value is integral, otherwise a
 the last slot holds the exponent of t.  The zero polynomial has an empty
 term map, zero coefficients are never stored, and equality is structural,
 so canonical forms are unique.  Substitution (so composition) and setting t
-run on ints.
+run on ints.  One-term images a*x^k (diagonal maps, permutations, t set to a
+constant) skip ``_substitute``: ``_regrade`` moves exponents between the key
+slots and only flips signs where a = -1; a scaled permutation only ``_scale``s.
 
 All values are immutable after construction and every operation is a pure
 function; polynomials can be shared freely between threads.
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
-from operator import add, lshift
+from operator import itemgetter, lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlgebraError, DimensionError, UndefinedValuation
@@ -79,7 +82,7 @@ def _power(table: dict[int, "Poly"], e: int) -> "Poly":
 
 
 #: The substitution slot of a zero image: its terms are dropped (see _substitute).
-_DEAD = (1, None, None)
+_DEAD = (1, None)
 
 
 def _table(g: "Poly") -> tuple:
@@ -90,7 +93,25 @@ def _table(g: "Poly") -> tuple:
     d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
     if d != 1:
         g = Poly._make(g.nvars, {k: c.numerator * (d // c.denominator) for k, c in terms.items()})
-    return d, {1: g}, {1: next(iter(g._terms.items()))} if len(terms) == 1 else None
+    return d, {1: g}
+
+
+def _key_map(keys: tuple):
+    """How _regrade maps a key padded by one 0, given the slots' image keys k_j: None
+    if each k_j is slot j's own unit key, a pick if they are distinct unit keys or 0."""
+    n1 = len(keys)
+    to = [k.index(1) if sum(k) == 1 else n1 if not any(k) else -1 for k in keys]
+    src = {s: j for j, s in enumerate(to) if s != n1}  # target slot -> source slot
+    if n1 > 1 and -1 not in src and len(src) + to.count(n1) == n1:
+        src = [src.get(s, n1) for s in range(n1)]
+        return None if src == list(range(n1)) else itemgetter(*src)
+    return lambda key: tuple(map(sum, zip(*[[e * x for x in k] for e, k in zip(key, keys)])))
+
+
+@lru_cache(maxsize=64)
+def _t_dropped(nvars: int):
+    """The _key_map of x1..xn fixed and t sent to a constant."""
+    return _key_map(tuple(_var_key(nvars, i) for i in range(1, nvars + 1)) + ((0,) * (nvars + 1),))
 
 
 def _quotient(nvars: int, acc: dict, total: int) -> "Poly":
@@ -310,13 +331,15 @@ class Poly:
         if q is None:
             return NotImplemented
         a, b = self._terms, q._terms
-        if not a or not b:
-            return Poly.zero(self.nvars)
         if len(a) > len(b):
-            a, b = b, a
+            a, b, q = b, a, self
+        if not a:
+            return Poly.zero(self.nvars)
         if len(a) == 1:
             # a monomial shifts every key of b: no collisions, no cancellation
             [(ka, ca)] = a.items()
+            if not any(ka):
+                return q._scale(ca)
             return Poly._make(
                 self.nvars,
                 {tuple(map(int.__add__, ka, kb)): _norm_coeff(ca * cb) for kb, cb in b.items()},
@@ -351,15 +374,23 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def _scale(self, c: Scalar) -> "Poly":
+        """c * self on the values alone; self itself when c == 1."""
+        if c == 1 or not c:
+            return self if c else Poly.zero(self.nvars)
+        p, q = c.as_integer_ratio()
+        out = {}
+        for k, v in self._terms.items():
+            v = v * p if q == 1 and type(v) is int else Fraction(v.numerator * p, v.denominator * q)
+            out[k] = _norm_coeff(v)
+        return Poly._make(self.nvars, out)
+
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if not c:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            inv = 1 / c
-            return Poly._make(
-                self.nvars, {k: _norm_coeff(v * inv) for k, v in self._terms.items()}
-            )
+            return self._scale(1 / c)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
@@ -403,14 +434,12 @@ class Poly:
         return self._substitute([_table(g) for g in [*images, t_base]])
 
     def _substitute(self, slots: Sequence[tuple]) -> "Poly":
-        # slots[i] = _table(image of slot i): (d, powers of the int image d*g, one)
+        # slots[i] = _table(image of slot i): (d, powers of the int image d*g)
         # with d the lcm of g's denominators.  Zero images (_DEAD) drop their
         # terms first.  With clear*self integral and m the top exponent per slot,
         # c*x^e adds the int c*clear * prod d^(m-e) * prod (d*g)^e to one
-        # accumulator; each sum is divided once by total = clear * prod d^m.  A
-        # one-term image a*x^k adds e*k to the key and a factor a**e (None if 1),
-        # kept in one[e]; the others (one is None) multiply powers (see _power).
-        # The slots' caches are shared by every polynomial they substitute into.
+        # accumulator; each sum is divided once by total = clear * prod d^m.
+        # The slots' power tables are shared by every polynomial they substitute into.
         source = self._terms
         if _DEAD in slots:
             dead = [i for i, slot in enumerate(slots) if slot is _DEAD]
@@ -419,7 +448,7 @@ class Poly:
         clear = lcm(*[c.denominator for c in source.values() if type(c) is not int])
         scaled = [
             (i, d, max((k[i] for k in source), default=0), {0: 1})
-            for i, (d, _, _) in enumerate(slots)
+            for i, (d, _) in enumerate(slots)
             if d != 1
         ]
         total = clear * prod(d**m for _, d, m, _ in scaled)
@@ -432,51 +461,59 @@ class Poly:
                 if k not in dpow:
                     dpow[k] = d**k
                 c *= dpow[k]
-            product, shift = None, zero_key
-            for e, (_, table, one) in zip(key, slots):
-                if not e:
-                    continue
-                if one is None:
+            product = None
+            for e, (_, table) in zip(key, slots):
+                if e:
                     power = _power(table, e)
                     product = power if product is None else product * power
-                    continue
-                step = one.get(e)
-                if step is None:
-                    k, a = one[1]
-                    a = a**e
-                    step = one[e] = (tuple([e * i for i in k]), None if a == 1 else a)
-                k, a = step
-                shift = k if shift is zero_key else tuple(map(add, shift, k))
-                c = c if a is None else c * a
             if product is None:
-                items = ((shift, c),)
-            elif shift is zero_key:
-                items = [(k, c * v) for k, v in product._terms.items()]
+                items = ((zero_key, c),)
             else:
-                items = [(tuple(map(add, k, shift)), c * v) for k, v in product._terms.items()]
+                items = [(k, c * v) for k, v in product._terms.items()]
             for k, v in items:
                 old = get(k)
                 acc[k] = v if old is None else old + v
         return _quotient(self.nvars, acc, total)
 
+    def _regrade(self, pick, moved: Sequence[tuple]) -> "Poly":
+        """self with slot j (x1..xn, t) sent to a_j*x^k_j, pick = _key_map(keys), moved =
+        [(j, p, q)] for a_j = p/q != 1: c*x^e goes to c * prod a_j^e_j * x^(sum e_j k_j),
+        colliding keys summed.  A factor -1 flips signs by parity; the others run on ints
+        as in _substitute, c*clear * prod p^e_j q^(m_j - e_j) over clear * prod q^m_j."""
+        terms, acc = self._terms, {}
+        if not terms or (pick is None and not moved):
+            return self
+        get = acc.get
+        flips = [j for j, p, q in moved if p == -1 and q == 1]
+        odd, one = itemgetter(*flips) if flips else None, len(flips) == 1
+        scaled = []
+        for j, p, q in moved:
+            if j not in flips:
+                exps = {k[j] for k in terms}
+                m = max(exps)
+                scaled.append((j, {e: p**e * q ** (m - e) for e in exps}, q**m))
+        clear = lcm(*[c.denominator for c in terms.values() if type(c) is not int]) if scaled else 1
+        for key, c in terms.items():
+            if scaled:
+                c = c * clear if type(c) is int else c.numerator * (clear // c.denominator)
+                for j, powers, _ in scaled:
+                    c *= powers[key[j]]
+            if odd is not None and (odd(key) if one else sum(odd(key))) & 1:
+                c = -c
+            if pick is not None:
+                key = pick(key + (0,))
+            old = get(key)
+            acc[key] = c if old is None else old + c
+        if scaled:
+            return _quotient(self.nvars, acc, clear * prod(d for *_, d in scaled))
+        if len(acc) < len(terms):  # collided: drop zero sums, demote integral ones
+            acc = {k: _norm_coeff(v) for k, v in acc.items() if v}
+        return Poly._make(self.nvars, acc)
+
     def with_t_set(self, value: Scalar) -> "Poly":
-        """Specialize t to an exact rational t0 = p/q, on ints: with clear*self integral
-        and m the top t-exponent (0 if q = 1), c*x^k*t^e adds c*clear * p^e * q^(m-e)
-        to one accumulator, and each sum is divided once by clear * q^m."""
+        """Specialize t to an exact rational t0: regrade with t's image the constant t0."""
         p, q = _as_fraction(value).as_integer_ratio()
-        clear = lcm(*[c.denominator for c in self._terms.values() if type(c) is not int])
-        m = max(k[-1] for k in self._terms) if q != 1 and self._terms else 0
-        factors = {0: q**m}
-        acc: dict[tuple, int] = {}
-        for key, c in self._terms.items():
-            c = c * clear if type(c) is int else c.numerator * (clear // c.denominator)
-            e = key[-1]
-            f = factors.get(e)
-            if f is None:  # when q == 1, m = 0 and q**(m - e) would be the float 1.0
-                f = factors[e] = p**e if q == 1 else p**e * q ** (m - e)
-            key = key[:-1] + (0,)
-            acc[key] = acc.get(key, 0) + c * f
-        return _quotient(self.nvars, acc, clear * factors[0])
+        return self._regrade(_t_dropped(self.nvars), [] if p == q else [(self.nvars, p, q)])
 
     def divide_t(self, power: int) -> "Poly":
         """Exact division by t**power; every term must carry at least that power."""

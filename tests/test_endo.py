@@ -212,6 +212,96 @@ class TestComposition:
                 assert composed.degree() <= ds * du
 
 
+# the scalings of the monomial maps below: signs, ints and Fractions
+SCALINGS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7))
+
+
+class TestMonomialComposition:
+    """compose regrades exponent keys when every component of other is one
+    term, and scales other's components when self is a scaled permutation;
+    each result must equal the generic substitution and the dict oracle."""
+
+    @staticmethod
+    def check(s, u):
+        r = s.compose(u)
+        for f, h in zip(s.components, r.components):
+            assert h == f.substitute(list(u.components))
+            assert h.terms() == dict_substitute(f, u.components)
+            assert_canonical(h)
+        assert type(r.components) is tuple
+        assert Endo(list(r.components)) == r
+        return r
+
+    @staticmethod
+    def monomial_maps(rng, n):
+        def scaling():
+            return rng.choice(SCALINGS)
+
+        def monomial():
+            key = [0] * (n + 1)
+            for _ in range(rng.randint(0, 3)):
+                key[rng.randrange(n)] += 1
+            return Poly(n, {tuple(key): scaling()})
+
+        perm = rng.sample(range(1, n + 1), n)
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        return [
+            Endo([scaling() * x(n, k) for k in range(1, n + 1)]),  # diagonal
+            Endo([scaling() * x(n, k) for k in perm]),  # scaled permutation
+            AffineMap.transposition(n, i, j).to_endo(),
+            # images that share a slot, so keys collide and may cancel
+            Endo([scaling() * x(n, rng.randint(1, n)) for _ in range(n)]),
+            # constant one-term images
+            Endo([Poly.const(n, scaling()) if rng.random() < 0.5 else x(n, k) for k in perm]),
+            Endo([monomial() for _ in range(n)]),  # one-term products of variables
+        ]
+
+    def test_matches_generic_substitution(self):
+        rng = random.Random(1414)
+        for case in range(60):
+            n = 1 + case % 4
+            s = Endo([f / rng.randint(1, 3) for f in random_endo(rng, n, 4, 5).components])
+            maps = self.monomial_maps(rng, n)
+            for m in maps:
+                self.check(s, m)  # regraded
+                self.check(m, s)  # scaled when m is a scaled permutation
+            for a in maps:
+                for b in maps:
+                    self.check(a, b)
+
+    def test_collisions_sum_and_cancel(self):
+        x1, x2 = x(2, 1), x(2, 2)
+        assert self.check(Endo([x1 + x2, x2]), Endo([x2, -x2])) == Endo([Poly.zero(2), -x2])
+        r = self.check(Endo([x1 + x2, x2]), Endo([2 * x2, -2 * x2]))
+        assert r == Endo([Poly.zero(2), -2 * x2])
+        # 1/2 + 1/2 collide into the int 1
+        half = Endo([x1 / 2 + x2 / 2, x1 * x2 / 2])
+        r = self.check(half, Endo([x2, x2]))
+        assert r.components[0].terms() == {(0, 1, 0): 1}
+        r = self.check(half, Endo([-x2, -x2]))
+        assert r.components == (-x2, x2**2 / 2)
+        # odd and even exponents of one slot take opposite signs
+        r = self.check(Endo([x1**3 + x1**2 * x2, x2]), Endo([-x1, x2]))
+        assert r.components[0] == -(x1**3) + x1**2 * x2
+
+    def test_scaled_permutation_shares_components(self):
+        rng = random.Random(7)
+        s = random_endo(rng, 3, 4, 5)
+        swap = AffineMap.transposition(3, 1, 3).to_endo()
+        r = self.check(swap, s)
+        assert r.components[0] is s.components[2] and r.components[1] is s.components[1]
+        r = self.check(Endo([x(3, 2), -x(3, 3), Fraction(2, 3) * x(3, 1)]), s)
+        assert r.components[0] is s.components[1]
+        assert r.components[1] == -s.components[2]
+        assert r.components[2] == Fraction(2, 3) * s.components[0]
+
+    def test_identity_regrade_returns_the_component(self):
+        rng = random.Random(8)
+        s = random_endo(rng, 3, 4, 5)
+        r = self.check(s, Endo.identity(3))
+        assert all(a is b for a, b in zip(r.components, s.components))
+
+
 class TestDegreeAndParts:
     def test_degree_examples(self):
         assert Endo([x(2, 1) + x(2, 2) ** 3, x(2, 2)]).degree() == 3

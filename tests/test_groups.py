@@ -110,6 +110,22 @@ class TestAffineMap:
         conj = swap.compose(phi).compose(swap)
         assert conj == Endo([x(2, 1) + x(2, 2) ** 2, x(2, 2)])
 
+    def test_transposition_matches_checked_constructor(self):
+        # transposition skips the determinant; it must build the same value
+        for n in range(1, 5):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    swap = AffineMap.transposition(n, i, j)
+                    perm = list(range(n))
+                    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+                    rows = [[int(perm[r] == c) for c in range(n)] for r in range(n)]
+                    checked = AffineMap(rows, [0] * n)
+                    assert swap == checked and hash(swap) == hash(checked)
+                    assert all(type(e) is Fraction for row in swap.matrix for e in row)
+                    assert all(type(v) is Fraction for v in swap.translation)
+                    assert swap.inverse() == swap
+                    assert swap.compose(swap) == AffineMap.identity(n)
+
     def test_bad_indices(self):
         with pytest.raises(DimensionError):
             AffineMap.transposition(2, 0, 1)

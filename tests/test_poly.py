@@ -173,6 +173,33 @@ def assert_canonical(p):
 WIDE_EXPONENTS = (0, 1, 2, 3, 2**15 - 1, 2**15, 2**16, 10**19)
 
 
+class TestScalarProduct:
+    """p * c scales the values in one pass (Poly._scale), for an int, a
+    Fraction or a constant Poly c, on either side."""
+
+    @pytest.mark.parametrize("c", [0, 1, -1, 3, Fraction(-2, 7)], ids=repr)
+    def test_matches_dict_convolution(self, c):
+        rng = random.Random(2027)
+        for case in range(40):
+            p = random_poly(rng, 1 + case % 4, 4, 6, with_t=case % 2 == 0)
+            if case % 5 == 0:
+                p = p * 12  # denominators are at most 4: integral, so int coefficients
+            constant = {(0,) * (p.nvars + 1): c} if c else {}
+            expected = dict_convolution(p.terms(), constant)
+            for product in (p._scale(c), p * c, c * p, p * Poly.const(p.nvars, c)):
+                assert product.terms() == expected
+                assert_canonical(product)
+
+    def test_integral_results_are_ints(self):
+        p = Poly(2, {(1, 0, 0): Fraction(7, 2), (0, 1, 0): Fraction(1, 3), (0, 0, 0): 5})
+        scaled = p * Fraction(6, 7)
+        expected = {(1, 0, 0): 3, (0, 1, 0): Fraction(2, 7), (0, 0, 0): Fraction(30, 7)}
+        assert scaled.terms() == expected
+        assert_canonical(scaled)
+        assert_canonical(p / Fraction(1, 6))
+        assert p._scale(1) is p
+
+
 class TestPackedProduct:
     def random_operand(self, rng, nvars):
         terms = {}
@@ -522,6 +549,31 @@ class TestTParameter:
             assert_canonical(result)
         expected = {(0, 0, 0): Fraction(3, 2), (0, 1, 0): 1} if v else {(0, 0, 0): Fraction(3, 2)}
         assert cases[0].with_t_set(value).terms() == expected
+
+    @pytest.mark.parametrize("value", [1, -1])
+    def test_with_t_set_at_unit_values(self, value):
+        # at t0 = +-1 only signs change: no clearing, no final division
+        x1, x2, t = x(2, 1), x(2, 2), Poly.t(2)
+        assert (x1 * t + x1).with_t_set(-1) == 0
+        p = x1 * t + x1 * t**2 + Fraction(1, 3) * x2 * t**3 + Fraction(2, 3) * x2 - x1**2 * t**4
+        expected = x1 * (value + 1) + x2 * (Fraction(value**3, 3) + Fraction(2, 3)) - x1**2
+        result = p.with_t_set(value)
+        assert result == expected
+        assert result.terms() == self.with_t_set_oracle(p, value)
+        assert_canonical(result)
+        # odd and even t-powers of one monomial take opposite signs at -1
+        q = Fraction(5, 2) * x1 * x2 * t**3 + 7 * x2**2 * t**2
+        assert q.with_t_set(-1) == -Fraction(5, 2) * x1 * x2 + 7 * x2**2
+        # keys that collide once t is dropped are summed: 1/2 + 1/2 is the int 1
+        r = Fraction(1, 2) * x1 * t**2 + Fraction(1, 2) * x1 + x2 * t - x2
+        assert r.with_t_set(value).terms() == self.with_t_set_oracle(r, value)
+        assert_canonical(r.with_t_set(value))
+        assert r.with_t_set(-1).terms() == {(1, 0, 0): 1, (0, 1, 0): -2}
+        rng = random.Random(4141)
+        for case in range(60):
+            p = random_poly(rng, 1 + case % 4, 4, 8, with_t=True)
+            assert p.with_t_set(value).terms() == self.with_t_set_oracle(p, value)
+            assert_canonical(p.with_t_set(value))
 
     def test_with_t_set_sparse_top_power(self):
         # t^0 beside t^60: the untouched term is scaled by q^60 and divided back
