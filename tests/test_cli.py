@@ -364,6 +364,270 @@ class TestSelfcheckSmoke:
         assert len(err.splitlines()) == 1 and err.startswith("usage error:")
 
 
+class TestTranscript:
+    """Exit code, stderr and stdout of every verb, plain and --json, byte for byte."""
+
+    ROWS = [
+        ("info", ("info", "[x1 + x2^2, x2]"), 0, "",
+            "endo: [x2^2 + x1, x2]\n"
+            "n = 2\n"
+            "degree = 2\n"
+            "affine: False\n"
+            "triangular: True\n"
+            "identity affine part: True\n"
+            "jacobian determinant: 1\n"),
+        ("info-json", ("info", "[x1 + x2^2, x2]", "--json"), 0, "",
+            "{\n"
+            '  "endo": "[x2^2 + x1, x2]",\n'
+            '  "n": 2,\n'
+            '  "degree": "2",\n'
+            '  "affine": false,\n'
+            '  "triangular": true,\n'
+            '  "identity_affine_part": true,\n'
+            '  "jacobian": "1"\n'
+            "}\n"),
+        ("compose", ("compose", "[x2, x1]", "[x1 + x2^2, x2]"), 0, "",
+            "[x2, x2^2 + x1]\n"),
+        ("compose-json", ("compose", "[x2, x1]", "[x1 + x2^2, x2]", "--json"), 0, "",
+            "{\n"
+            '  "endo": "[x2, x2^2 + x1]"\n'
+            "}\n"),
+        ("apply", ("apply", "[x1*x2 + x1, x2]", "1/3,3"), 0, "",
+            "(4/3, 3)\n"),
+        ("apply-json", ("apply", "[x1*x2 + x1, x2]", "1/3,3", "--json"), 0, "",
+            "{\n"
+            '  "image": [\n'
+            '    "4/3",\n'
+            '    "3"\n'
+            "  ]\n"
+            "}\n"),
+        ("degenerate", ("degenerate", "[x1, x2 + x1^2]"), 0, "",
+            "witness: [x2^2 + x1, x2]\n"
+            "w = 2\n"),
+        ("degenerate-json", ("degenerate", "[x1, x2 + x1^2]", "--json"), 0, "",
+            "{\n"
+            '  "w": 2,\n'
+            '  "d": 2,\n'
+            '  "h": "x2^2",\n'
+            '  "valuations": [\n'
+            "    null,\n"
+            "    null\n"
+            "  ],\n"
+            '  "pass": true,\n'
+            '  "witness": "[x2^2 + x1, x2]",\n'
+            '  "g0": "x2^2",\n'
+            '  "normalized": "[x2^2 + x1, x2]",\n'
+            '  "curve": [\n'
+            '    "x2^2 + x1",\n'
+            '    "x2"\n'
+            "  ]\n"
+            "}\n"),
+        ("witness", ("witness", "[2*x1 + x2^2, x2]"), 0, "",
+            "source: [x2^2 + 2*x1, x2]\n"
+            "normalized: [1/2*x2^2 + x1, x2]\n"
+            "affine correction: applied\n"
+            "transposition: none\n"
+            "g0 = 1/2*x2^2\n"
+            "w = 2\n"
+            "d = 2\n"
+            "h = 1/2*x2^2\n"
+            "curve: [1/2*x2^2 + x1, x2]\n"
+            "witness: [1/2*x2^2 + x1, x2]\n"
+            "t-valuations of curve - witness: inf, inf\n"
+            "pass: True\n"),
+        ("witness-json", ("witness", "[2*x1 + x2^2, x2]", "--json"), 0, "",
+            "{\n"
+            '  "w": 2,\n'
+            '  "d": 2,\n'
+            '  "h": "1/2*x2^2",\n'
+            '  "valuations": [\n'
+            "    null,\n"
+            "    null\n"
+            "  ],\n"
+            '  "pass": true,\n'
+            '  "witness": "[1/2*x2^2 + x1, x2]",\n'
+            '  "g0": "1/2*x2^2",\n'
+            '  "normalized": "[1/2*x2^2 + x1, x2]",\n'
+            '  "curve": [\n'
+            '    "1/2*x2^2 + x1",\n'
+            '    "x2"\n'
+            "  ]\n"
+            "}\n"),
+        ("curve", ("curve", "--samples", "1,-1/2", "[2*x1 + 1/3*x2^2 + x2^3, x2]"), 0, "",
+            "t = 1: [1/2*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+            "t = -1/2: [-1/4*x2^3 + 1/6*x2^2 + x1, x2] (degree 3)\n"
+            "limit: [1/6*x2^2 + x1, x2]\n"
+            "w = 2, d = 3\n"
+            "verify_limit pass: True\n"),
+        ("curve-json", ("curve", "--samples", "1,-1/2", "[2*x1 + 1/3*x2^2 + x2^3, x2]", "--json"), 0, "",
+            "{\n"
+            '  "w": 2,\n'
+            '  "d": 3,\n'
+            '  "h": "1/6*x2^2",\n'
+            '  "valuations": [\n'
+            "    1,\n"
+            "    null\n"
+            "  ],\n"
+            '  "pass": true,\n'
+            '  "witness": "[1/6*x2^2 + x1, x2]",\n'
+            '  "g0": "1/2*x2^3 + 1/6*x2^2",\n'
+            '  "normalized": "[1/2*x2^3 + 1/6*x2^2 + x1, x2]",\n'
+            '  "curve": [\n'
+            '    "1/2*x2^3*t + 1/6*x2^2 + x1",\n'
+            '    "x2"\n'
+            "  ],\n"
+            '  "samples": [\n'
+            "    {\n"
+            '      "t0": "1",\n'
+            '      "endo": "[1/2*x2^3 + 1/6*x2^2 + x1, x2]",\n'
+            '      "degree": 3\n'
+            "    },\n"
+            "    {\n"
+            '      "t0": "-1/2",\n'
+            '      "endo": "[-1/4*x2^3 + 1/6*x2^2 + x1, x2]",\n'
+            '      "degree": 3\n'
+            "    }\n"
+            "  ]\n"
+            "}\n"),
+        ("factor2-accepted", ("factor2", "[x2 + x1^2, x1]"), 0, "",
+            "word: B(1 1;-x2^2,0)^-1; A(0 1,1 0;0 0)\n"
+            "step 1: (2, 1) -> (1, 1) via elementary f -= 1*g^2\n"
+            "letters: 2\n"),
+        ("factor2-accepted-json", ("factor2", "[x2 + x1^2, x1]", "--json"), 0, "",
+            "{\n"
+            '  "endo": "[x1^2 + x2, x1]",\n'
+            '  "word": "B(1 1;-x2^2,0)^-1; A(0 1,1 0;0 0)",\n'
+            '  "letters": 2,\n'
+            '  "steps": [\n'
+            '    "(2, 1) -> (1, 1) via elementary f -= 1*g^2"\n'
+            "  ],\n"
+            '  "ok": true\n'
+            "}\n"),
+        ("factor2-rejected", ("factor2", "[x1, x1*x2]"), 2, "",
+            "NotAnAutomorphism: not an automorphism: non-constant Jacobian determinant\n"
+            "  reason: jacobian\n"
+            "  stage: 0\n"
+            "  multidegree: ['1', '2']\n"
+            "  detail: the Jacobian determinant is not a nonzero constant\n"
+            "  jacobian: x1\n"),
+        ("factor2-rejected-json", ("factor2", "[x1, x1*x2]", "--json"), 2, "",
+            "{\n"
+            '  "error": "NotAnAutomorphism",\n'
+            '  "message": "not an automorphism: non-constant Jacobian determinant",\n'
+            '  "reason": "jacobian",\n'
+            '  "stage": 0,\n'
+            '  "multidegree": [\n'
+            '    "1",\n'
+            '    "2"\n'
+            "  ],\n"
+            '  "detail": "the Jacobian determinant is not a nonzero constant",\n'
+            '  "jacobian": "x1"\n'
+            "}\n"),
+        ("nagata", ("nagata",), 0, "",
+            "[-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 - 2*x1*x2*x3 - 2*x2^3 + x1, x1*x3^2 + x2^2*x3 + x2, x3]\n"),
+        ("nagata-json", ("nagata", "--json"), 0, "",
+            "{\n"
+            '  "nagata": "[-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 - 2*x1*x2*x3 - 2*x2^3 + x1, x1*x3^2 + x2^2*x3 + x2, x3]",\n'
+            '  "inverse": "[-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 + 2*x1*x2*x3 + 2*x2^3 + x1, -x1*x3^2 - x2^2*x3 + x2, x3]"\n'
+            "}\n"),
+        ("nagata-inverse", ("nagata", "--inverse"), 0, "",
+            "[-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 + 2*x1*x2*x3 + 2*x2^3 + x1, -x1*x3^2 - x2^2*x3 + x2, x3]\n"),
+        ("nagata-inverse-json", ("nagata", "--inverse", "--json"), 0, "",
+            "{\n"
+            '  "nagata": "[-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 - 2*x1*x2*x3 - 2*x2^3 + x1, x1*x3^2 + x2^2*x3 + x2, x3]",\n'
+            '  "inverse": "[-x1^2*x3^3 - 2*x1*x2^2*x3^2 - x2^4*x3 + 2*x1*x2*x3 + 2*x2^3 + x1, -x1*x3^2 - x2^2*x3 + x2, x3]"\n'
+            "}\n"),
+        ("random-tame", ("random-tame", "--n", "2", "--seed", "7", "--length", "2", "--dmax", "2"), 0, "",
+            "word: A(2 -3,-3 3;1 -3); B(1 -2;-2*x2 - 2,-10)\n"
+            "endo: [2*x1 + 2*x2 + 27, -3*x1 - 27]\n"),
+        ("random-tame-json", ("random-tame", "--n", "2", "--seed", "7", "--length", "2", "--dmax", "2", "--json"), 0, "",
+            "{\n"
+            '  "n": 2,\n'
+            '  "seed": 7,\n'
+            '  "length": 2,\n'
+            '  "dmax": 2,\n'
+            '  "word": "A(2 -3,-3 3;1 -3); B(1 -2;-2*x2 - 2,-10)",\n'
+            '  "endo": "[2*x1 + 2*x2 + 27, -3*x1 - 27]"\n'
+            "}\n"),
+        ("selfcheck", ("selfcheck", "--cases", "3", "--shear-cases", "2"), 0, "",
+            "PASS nagata-golden: 1/1 cases\n"
+            "PASS degeneration-pipeline: 3/3 cases\n"
+            "PASS curve-rigidity: 3/3 cases\n"
+            "PASS monoid-laws: 3/3 cases\n"
+            "PASS word-inversion: 3/3 cases\n"
+            "PASS plane-factorization: 3/3 cases\n"
+            "PASS shear-fixed-points: 2/2 cases\n"
+            "all suites passed\n"),
+        ("selfcheck-json", ("selfcheck", "--cases", "3", "--shear-cases", "2", "--json"), 0, "",
+            "{\n"
+            '  "suites": [\n'
+            "    {\n"
+            '      "name": "nagata-golden",\n'
+            '      "cases": 1,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    },\n"
+            "    {\n"
+            '      "name": "degeneration-pipeline",\n'
+            '      "cases": 3,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    },\n"
+            "    {\n"
+            '      "name": "curve-rigidity",\n'
+            '      "cases": 3,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    },\n"
+            "    {\n"
+            '      "name": "monoid-laws",\n'
+            '      "cases": 3,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    },\n"
+            "    {\n"
+            '      "name": "word-inversion",\n'
+            '      "cases": 3,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    },\n"
+            "    {\n"
+            '      "name": "plane-factorization",\n'
+            '      "cases": 3,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    },\n"
+            "    {\n"
+            '      "name": "shear-fixed-points",\n'
+            '      "cases": 2,\n'
+            '      "failures": [],\n'
+            '      "passed": true\n'
+            "    }\n"
+            "  ],\n"
+            '  "pass": true\n'
+            "}\n"),
+        ("parse-error", ("info", "[x1 + , x2]"), 1, "parse error: expected a coefficient, variable, or '(', found ',' (at position 6)\n",
+            ""),
+        ("parse-error-json", ("info", "[x1 + , x2]", "--json"), 1, "parse error: expected a coefficient, variable, or '(', found ',' (at position 6)\n",
+            ""),
+        ("certificate", ("degenerate", "[x1 + x2, x2]"), 2, "",
+            "NothingToNormalize: input is affine; only maps of degree at least 2 degenerate\n"
+            "  endo: [x1 + x2, x2]\n"
+            "  degree: 1\n"),
+        ("certificate-json", ("degenerate", "[x1 + x2, x2]", "--json"), 2, "",
+            "{\n"
+            '  "error": "NothingToNormalize",\n'
+            '  "message": "input is affine; only maps of degree at least 2 degenerate",\n'
+            '  "endo": "[x1 + x2, x2]",\n'
+            '  "degree": 1\n'
+            "}\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, code, err, out", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
+    def test_matches_recorded_output(self, capsys, argv, code, err, out):
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+
 class TestImportIsolation:
     """A verb loads only the modules it uses."""
 
