@@ -8,7 +8,8 @@ runs the seeded verification suites.  Output is deterministic for a fixed
 invocation; ``--json`` renders the same data as one JSON object.
 
 Exit codes: 0 success, 1 parse or usage error, 2 a certified failure
-(the certificate is printed, machine-checkable, never just a message).
+(the certificate is printed, machine-checkable, never just a message;
+one JSON object under ``--json``).
 """
 
 from __future__ import annotations
@@ -44,55 +45,44 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="polyauto", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="verb", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="print the record as one JSON object")
+
+    def verb(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common])
 
     def endo_operand(p):
         p.add_argument("endo", help="endomorphism text '[f1, ..., fn]', or '-' for stdin")
+        return p
 
-    p = sub.add_parser("info", help="degree, affine/triangular flags, Jacobian")
-    endo_operand(p)
-    p.add_argument("--json", action="store_true")
+    endo_operand(verb("info", "degree, affine/triangular flags, Jacobian"))
 
-    p = sub.add_parser("compose", help="compose endomorphisms left to right")
+    p = verb("compose", "compose endomorphisms left to right")
     p.add_argument("endos", nargs="+", help="two or more endomorphism texts")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("apply", help="evaluate an endomorphism at a rational point")
-    endo_operand(p)
+    p = endo_operand(verb("apply", "evaluate an endomorphism at a rational point"))
     p.add_argument("point", help="comma-separated rationals, e.g. 1,-2/3")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("degenerate", help="normalized triangular limit witness")
-    endo_operand(p)
-    p.add_argument("--json", action="store_true")
+    endo_operand(verb("degenerate", "normalized triangular limit witness"))
+    endo_operand(verb("witness", "full degeneration report"))
 
-    p = sub.add_parser("witness", help="full degeneration report")
-    endo_operand(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("curve", help="specializations of the conjugation curve")
-    endo_operand(p)
+    p = endo_operand(verb("curve", "specializations of the conjugation curve"))
     p.add_argument("--samples", default="1,-1,2,1/2", help="nonzero rationals, comma-separated")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("factor2", help="factor a plane automorphism into generators")
-    endo_operand(p)
-    p.add_argument("--json", action="store_true")
+    endo_operand(verb("factor2", "factor a plane automorphism into generators"))
 
-    p = sub.add_parser("nagata", help="print the Nagata automorphism")
+    p = verb("nagata", "print the Nagata automorphism")
     p.add_argument("--inverse", action="store_true", help="print the inverse instead")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("random-tame", help="sample a seeded tame word")
+    p = verb("random-tame", "sample a seeded tame word")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--length", type=int, default=4)
     p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("selfcheck", help="run the seeded verification suites")
+    p = verb("selfcheck", "run the seeded verification suites")
     p.add_argument("--cases", type=int, default=100, help="cases per suite")
     p.add_argument("--shear-cases", type=int, default=25)
-    p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -127,15 +117,7 @@ def _report_json(report) -> dict:
     }
 
 
-def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> tuple:
     sigma = _load_endo(args.endo)
     jacobian = sigma.jacobian_det()
     payload = {
@@ -147,60 +129,46 @@ def _cmd_info(args) -> int:
         "identity_affine_part": sigma.has_identity_affine_part(),
         "jacobian": str(jacobian),
     }
-    _emit(
-        payload,
-        args.json,
-        [
-            f"endo: {payload['endo']}",
-            f"n = {payload['n']}",
-            f"degree = {payload['degree']}",
-            f"affine: {payload['affine']}",
-            f"triangular: {payload['triangular']}",
-            f"identity affine part: {payload['identity_affine_part']}",
-            f"jacobian determinant: {payload['jacobian']}",
-        ],
-    )
-    return 0
+    return payload, [
+        f"endo: {payload['endo']}",
+        f"n = {payload['n']}",
+        f"degree = {payload['degree']}",
+        f"affine: {payload['affine']}",
+        f"triangular: {payload['triangular']}",
+        f"identity affine part: {payload['identity_affine_part']}",
+        f"jacobian determinant: {payload['jacobian']}",
+    ]
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple:
     if len(args.endos) < 2:
         raise _UsageError("compose needs at least two endomorphisms")
     endos = [_load_endo(text) for text in args.endos]
     result = endos[0]
     for other in endos[1:]:
         result = result.compose(other)
-    _emit({"endo": str(result)}, args.json, [str(result)])
-    return 0
+    text = str(result)
+    return {"endo": text}, [text]
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple:
     from .parsing import parse_rational_list
 
     sigma = _load_endo(args.endo)
     point = parse_rational_list(args.point)
     image = sigma(point)
-    text = "(" + ", ".join(str(v) for v in image) + ")"
-    _emit({"image": [str(v) for v in image]}, args.json, [text])
-    return 0
+    values = [str(v) for v in image]
+    return {"image": values}, ["(" + ", ".join(values) + ")"]
 
 
-def _cmd_degenerate(args) -> int:
+def _cmd_degenerate(args) -> tuple:
     from .degeneration import witness_report
 
     report = witness_report(_load_endo(args.endo))
-    _emit(
-        _report_json(report),
-        args.json,
-        [
-            f"witness: {report.witness}",
-            f"w = {report.data.valuation}",
-        ],
-    )
-    return 0
+    return _report_json(report), [f"witness: {report.witness}", f"w = {report.data.valuation}"]
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple:
     from .degeneration import witness_report
 
     report = witness_report(_load_endo(args.endo))
@@ -226,11 +194,10 @@ def _cmd_witness(args) -> int:
         + ", ".join("inf" if v == inf else str(v) for v in report.limit_report.valuations),
         f"pass: {report.limit_report.passed}",
     ]
-    _emit(_report_json(report), args.json, lines)
-    return 0
+    return _report_json(report), lines
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> tuple:
     from .degeneration import _closure_samples, witness_report
     from .parsing import parse_rational_list
 
@@ -251,11 +218,10 @@ def _cmd_curve(args) -> int:
     lines.append(f"limit: {report.witness}")
     lines.append(f"w = {report.data.valuation}, d = {report.data.source_degree}")
     lines.append(f"verify_limit pass: {report.limit_report.passed}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_factor2(args) -> int:
+def _cmd_factor2(args) -> tuple:
     from .groups import format_word
     from .planefactor import factor_plane
 
@@ -272,24 +238,17 @@ def _cmd_factor2(args) -> int:
     lines = [f"word: {word_text}"]
     lines.extend(f"step {i + 1}: {step}" for i, step in enumerate(factorization.steps))
     lines.append(f"letters: {len(factorization.word)}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_nagata(args) -> int:
+def _cmd_nagata(args) -> tuple:
     from .groups import nagata
 
-    forward, backward = nagata()
-    chosen = backward if args.inverse else forward
-    _emit(
-        {"nagata": str(forward), "inverse": str(backward)},
-        args.json,
-        [str(chosen)],
-    )
-    return 0
+    forward, backward = map(str, nagata())
+    return {"nagata": forward, "inverse": backward}, [backward if args.inverse else forward]
 
 
-def _cmd_random_tame(args) -> int:
+def _cmd_random_tame(args) -> tuple:
     from .groups import format_word, random_tame_word
 
     word = random_tame_word(args.n, args.seed, args.length, args.dmax)
@@ -302,11 +261,10 @@ def _cmd_random_tame(args) -> int:
         "word": format_word(word),
         "endo": str(endo),
     }
-    _emit(payload, args.json, [f"word: {payload['word']}", f"endo: {payload['endo']}"])
-    return 0
+    return payload, [f"word: {payload['word']}", f"endo: {payload['endo']}"]
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args) -> tuple:
     if args.cases < 1 or args.shear_cases < 1:
         raise _UsageError("--cases and --shear-cases must be at least 1")
     from .selfcheck import run_all
@@ -332,8 +290,7 @@ def _cmd_selfcheck(args) -> int:
         lines.append(f"{status} {r.name}: {r.cases - len(r.failures)}/{r.cases} cases")
         lines.extend(f"  {failure}" for failure in r.failures)
     lines.append("all suites passed" if payload["pass"] else "FAILURES present")
-    _emit(payload, args.json, lines)
-    return 0 if payload["pass"] else 2
+    return payload, lines, 0 if payload["pass"] else 2
 
 
 _COMMANDS = {
@@ -354,7 +311,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.verb](args)
+        payload, lines, *code = _COMMANDS[args.verb](args)  # selfcheck adds its exit code
     except _UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 1
@@ -362,23 +319,17 @@ def main(argv=None) -> int:
         print(f"parse error: {error}", file=sys.stderr)
         return 1
     except CertificateError as error:
-        json_mode = "--json" in (argv if argv is not None else sys.argv[1:])
-        certificate = {"error": type(error).__name__, "message": str(error)}
-        certificate.update(
-            {key: value for key, value in error.certificate.items()}
-        )
-        if json_mode:
-            print(json.dumps(certificate, indent=2))
-        else:
-            print(f"{type(error).__name__}: {error}")
-            for key, value in error.certificate.items():
-                print(f"  {key}: {value}")
-        return 2
+        name, certificate = type(error).__name__, error.certificate
+        payload = {"error": name, "message": str(error), **certificate}
+        lines = [f"{name}: {error}", *(f"  {key}: {value}" for key, value in certificate.items())]
+        code = [2]
     except (ConsistencyError, MissingInverse):
         raise
     except AlgebraError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

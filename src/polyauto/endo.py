@@ -123,8 +123,9 @@ class Endo:
     def compose(self, other: "Endo") -> "Endo":
         """Substitution product; acts on points as self after other.  If self is a scaled
         permutation (components c*x_j), component i is c*other_j: other_j when c = 1.  Else
-        if other's components are one term each, self's are regraded on their exponent keys
-        (Poly._regrade); other shapes go through Poly._substitute, one table per image."""
+        if other's components are one term each, on distinct variables or constant, self's
+        are regraded on their exponent keys (Poly._regrade); other shapes (x1*x2, x2^2, two
+        images on x1) go through Poly._substitute, one table per image."""
         if not isinstance(other, Endo):
             raise DimensionError("can only compose with another endomorphism")
         if self.n != other.n:
@@ -135,8 +136,9 @@ class Endo:
         if all(len(g._terms) == 1 for g in other.components):
             keys, scalars = zip(*[next(iter(g._terms.items())) for g in other.components])
             pick = _key_map(keys + (_var_key(self.n, self.n + 1),))  # t is left fixed
-            moved = [(j, *a.as_integer_ratio()) for j, a in enumerate(scalars) if a != 1]
-            return Endo._make(tuple([f._regrade(pick, moved) for f in self.components]))
+            if pick is not False:
+                moved = [(j, *a.as_integer_ratio()) for j, a in enumerate(scalars) if a != 1]
+                return Endo._make(tuple([f._regrade(pick, moved) for f in self.components]))
         slots = [_table(g) for g in [*other.components, Poly.t(self.n)]]
         return Endo._make(tuple([f._substitute(slots) for f in self.components]))
 

@@ -263,8 +263,6 @@ def parse_rational(text: str, offset: int = 0) -> Fraction:
 
 
 def parse_rational_list(text: str) -> list[Fraction]:
-    """Comma-separated rationals, e.g. '1,-1,1/2'."""
-    parts = [chunk for chunk in re.finditer(r"[^,]+", text) if chunk.group().strip()]
-    if not parts:
-        raise ParseError("expected at least one rational number", 0)
-    return [parse_rational(chunk.group(), chunk.start()) for chunk in parts]
+    """Comma-separated rationals, e.g. '1,-1,1/2'; an empty or blank field fails at its start."""
+    fields = re.finditer(r"(?:^|,)([^,]*)", text)
+    return [parse_rational(field.group(1), field.start(1)) for field in fields]

@@ -98,14 +98,17 @@ def _table(g: "Poly") -> tuple:
 
 def _key_map(keys: tuple):
     """How _regrade maps a key padded by one 0, given the slots' image keys k_j: None
-    if each k_j is slot j's own unit key, a pick if they are distinct unit keys or 0."""
+    if each k_j is slot j's own unit key, a pick if they are distinct unit keys or 0,
+    False for any other keys (_regrade does not take them)."""
     n1 = len(keys)
     to = [k.index(1) if sum(k) == 1 else n1 if not any(k) else -1 for k in keys]
     src = {s: j for j, s in enumerate(to) if s != n1}  # target slot -> source slot
-    if n1 > 1 and -1 not in src and len(src) + to.count(n1) == n1:
-        src = [src.get(s, n1) for s in range(n1)]
-        return None if src == list(range(n1)) else itemgetter(*src)
-    return lambda key: tuple(map(sum, zip(*[[e * x for x in k] for e, k in zip(key, keys)])))
+    if -1 in src or len(src) + to.count(n1) < n1:
+        return False
+    src = [src.get(s, n1) for s in range(n1)]
+    if src == list(range(n1)):
+        return None
+    return itemgetter(*src) if n1 > 1 else lambda key: (0,)  # one index gives no tuple
 
 
 @lru_cache(maxsize=64)
@@ -476,10 +479,11 @@ class Poly:
         return _quotient(self.nvars, acc, total)
 
     def _regrade(self, pick, moved: Sequence[tuple]) -> "Poly":
-        """self with slot j (x1..xn, t) sent to a_j*x^k_j, pick = _key_map(keys), moved =
-        [(j, p, q)] for a_j = p/q != 1: c*x^e goes to c * prod a_j^e_j * x^(sum e_j k_j),
-        colliding keys summed.  A factor -1 flips signs by parity; the others run on ints
-        as in _substitute, c*clear * prod p^e_j q^(m_j - e_j) over clear * prod q^m_j."""
+        """self with slot j (x1..xn, t) sent to a_j*x^k_j, the k_j distinct unit keys or 0:
+        pick = _key_map(keys) permutes the slots and drops those sent to constants, moved =
+        [(j, p, q)] for a_j = p/q != 1 scales c*x^e by prod a_j^e_j, and colliding keys are
+        summed.  A factor -1 flips signs by parity; the others run on ints as in _substitute,
+        c*clear * prod p^e_j q^(m_j - e_j) over clear * prod q^m_j."""
         terms, acc = self._terms, {}
         if not terms or (pick is None and not moved):
             return self

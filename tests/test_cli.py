@@ -135,6 +135,11 @@ class TestApply:
         assert code == 0
         assert json.loads(out)["image"] == ["1", "3"]
 
+    def test_empty_field_is_a_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "apply", "[x1, x2, x3]", "1,,2,3")
+        assert (code, out) == (1, "")
+        assert err == "parse error: not a rational number: '' (at position 2)\n"
+
 
 class TestDegenerate:
     def test_spec_example(self, capsys):
@@ -155,6 +160,13 @@ class TestDegenerate:
         code, out, _ = run_cli(capsys, "degenerate", "[x1 + x2, x2]")
         assert code == 2
         assert "NothingToNormalize" in out
+
+    @pytest.mark.parametrize("flag", ["--js", "--j"])
+    def test_abbreviated_json_flag_prints_the_json_certificate(self, capsys, flag):
+        expected = run_cli(capsys, "degenerate", "[x1 + x2, x2]", "--json")
+        assert expected[0] == 2
+        assert json.loads(expected[1])["error"] == "NothingToNormalize"
+        assert run_cli(capsys, "degenerate", "[x1 + x2, x2]", flag) == expected
 
     def test_not_a_coordinate_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "degenerate", "[x1*x2 + x1, x2]")
@@ -240,6 +252,12 @@ class TestCurve:
         assert code == 0
         assert out == self.FRACTIONAL_GOLDEN
         assert sha256(out.encode()).hexdigest().startswith("67a171f8")
+
+    @pytest.mark.parametrize("samples, position", [("2,,1/2,", 2), ("1,-1,", 5)])
+    def test_empty_sample_is_a_parse_error(self, capsys, samples, position):
+        code, out, err = run_cli(capsys, "curve", "--samples", samples, "[x1 + x2^2, x2]")
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error:") and f"(at position {position})" in err
 
     def test_zero_sample_rejected(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "--samples", "0", "[x1 + x2^2, x2]")

@@ -263,7 +263,7 @@ class TestMonomialComposition:
             s = Endo([f / rng.randint(1, 3) for f in random_endo(rng, n, 4, 5).components])
             maps = self.monomial_maps(rng, n)
             for m in maps:
-                self.check(s, m)  # regraded
+                self.check(s, m)  # regraded; substituted for shared slots and products
                 self.check(m, s)  # scaled when m is a scaled permutation
             for a in maps:
                 for b in maps:

@@ -304,6 +304,15 @@ class TestParseRational:
         with pytest.raises(ParseError):
             parse_rational_list(",")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [(",", 0), ("", 0), ("1,,2,3", 2), ("2,,1/2,", 2), ("1,2,", 4), (" ,1", 0), ("1, ", 2)],
+    )
+    def test_list_rejects_empty_fields_at_their_start(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_rational_list(text)
+        assert info.value.position == position
+
     def test_digit_strings_past_the_int_limit(self):
         for text, position in ((f"1/{LONG}", 2), (f" {LONG}", 1)):
             with pytest.raises(ParseError) as info:

@@ -543,6 +543,7 @@ class TestTParameter:
         rng = random.Random(909)
         for case in range(40):
             cases.append(random_poly(rng, 1 + case % 3, 4, 6, with_t=True))
+        cases.append(Poly.t(0) ** 3 - 3 * Poly.t(0) + Fraction(1, 2))  # no x-variables
         for p in cases:
             result = p.with_t_set(value)
             assert result.terms() == self.with_t_set_oracle(p, value)
