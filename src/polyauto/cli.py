@@ -198,15 +198,13 @@ def _cmd_witness(args) -> tuple:
 
 
 def _cmd_curve(args) -> tuple:
-    from .degeneration import _closure_samples, witness_report
+    from .degeneration import closure_witness, witness_report
     from .parsing import parse_rational_list
 
     sigma = _load_endo(args.endo)
     samples = parse_rational_list(args.samples)
     report = witness_report(sigma)
-    witnesses = _closure_samples(
-        report.normalization.result, report.data, report.curve, samples
-    )
+    witnesses = closure_witness(report, samples)
     payload = _report_json(report)
     payload["samples"] = [
         {"t0": str(s.t0), "endo": str(s.image), "degree": s.image.degree()}

@@ -40,6 +40,7 @@ from .errors import (
     OverringViolation,
     SingularAffinePart,
 )
+from ._linalg import invert_affine
 from .groups import AffineMap
 from .poly import Poly, Scalar, _as_fraction
 
@@ -65,12 +66,25 @@ class TorusAction:
         if self.weight < 2:
             raise DimensionError("torus weight must be at least 2")
 
-    def at(self, t0: Scalar) -> AffineMap:
-        """The invertible diagonal map at a nonzero parameter value."""
+    def _scalings(self, t0: Scalar) -> list[Fraction]:
         value = _as_fraction(t0)
         if value == 0:
             raise InvalidSample("the torus action is not invertible at t = 0", {"sample": "0"})
-        return AffineMap.diagonal([value**self.weight] + [value] * (self.n - 1))
+        return [value**self.weight] + [value] * (self.n - 1)
+
+    def at(self, t0: Scalar) -> AffineMap:
+        """The invertible diagonal map at a nonzero parameter value."""
+        return AffineMap.diagonal(self._scalings(t0))
+
+    def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
+        """at(t0)^-1 after psi after at(t0), with no map built: component i of psi with each x_j
+        times s_j (t0^weight, then t0), over s_i, in one integer Poly._regrade of its keys."""
+        if psi.n != self.n:
+            raise DimensionError(f"torus on {self.n} variables, map on {psi.n}")
+        scalings = self._scalings(t0)
+        moved = [(j, *s.as_integer_ratio()) for j, s in enumerate(scalings) if s != 1]
+        over = [(1 / s).as_integer_ratio() for s in scalings]
+        return Endo._make(tuple([f._regrade(None, moved, o) for f, o in zip(psi.components, over)]))
 
 
 class ParamEndo:
@@ -211,15 +225,13 @@ def normalize(phi: Endo) -> NormalizationRecord:
     affine_inverse = None
     corrected = phi
     if not phi.has_identity_affine_part():
-        affine_part = phi.affine_part()
-        try:
-            alpha = AffineMap.from_endo(affine_part)
-        except DimensionError:
+        try:  # one elimination inverts the affine part or finds it singular
+            affine_inverse = AffineMap._make(*invert_affine(phi.linear_matrix(), phi.translation()))
+        except ZeroDivisionError:
             raise SingularAffinePart(
                 "the affine part is singular, so the input is not an automorphism",
-                {"endo": str(phi), "affine_part": str(affine_part)},
+                {"endo": str(phi), "affine_part": str(phi.affine_part())},
             )
-        affine_inverse = alpha.inverse()
         corrected = affine_inverse.to_endo().compose(phi)
     moving = next(
         (i for i, f in enumerate(corrected.components, 1) if f != Poly.variable(phi.n, i)), None
@@ -372,23 +384,21 @@ def verify_limit(curve: ParamEndo, limit: Endo) -> LimitReport:
     return LimitReport(tuple(valuations), all(v >= 1 for v in valuations))
 
 
-def closure_witness(phi: Endo, samples: Sequence[Scalar]) -> list[ClosureSample]:
+def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> list[ClosureSample]:
     """Specializations of the normalized conjugate curve at nonzero samples.
 
-    Each sample comes with its conjugation certificate: the returned image
-    must equal torus_map^-1 after psi after torus_map and must have the
-    degree of psi; both facts are checked before the sample is emitted.
+    phi is a raw map, or a WitnessReport whose normalized map psi, data and curve
+    are sampled as they stand, with no stage run again.  Each sample is checked
+    before it is emitted: its image must have the degree of psi and must equal
+    torus_map^-1 after psi after torus_map, which TorusAction.conjugate computes
+    from psi alone, in one integer regrade per component, not from the curve.
     """
-    psi = normalize(phi).result
-    data = degeneration_data(psi)
-    return _closure_samples(psi, data, torus_conjugate(psi, data.valuation), samples)
-
-
-def _closure_samples(
-    psi: Endo, data: DegenerationData, curve: ParamEndo, samples: Sequence[Scalar]
-) -> list[ClosureSample]:
-    """The checked samples of :func:`closure_witness`, given the normalized psi,
-    its degeneration data and its conjugated curve (as a WitnessReport holds)."""
+    if isinstance(phi, WitnessReport):
+        psi, data, curve = phi.normalization.result, phi.data, phi.curve
+    else:
+        psi = normalize(phi).result
+        data = degeneration_data(psi)
+        curve = torus_conjugate(psi, data.valuation)
     action = TorusAction(psi.n, data.valuation)
     out = []
     for raw in samples:
@@ -398,13 +408,11 @@ def _closure_samples(
                 "closure samples must be nonzero; t = 0 is the limit, not a sample",
                 {"sample": str(raw)},
             )
-        alpha = action.at(value)
         image = curve.specialize(value)
-        # the action at 1 / value is alpha's exact inverse: no elimination.  Both maps
-        # are diagonal, so compose scales psi's components and then regrades their
-        # keys per variable (Poly._scale, Poly._regrade), apart from with_t_set's path
-        conjugate = action.at(1 / value).to_endo().compose(psi).compose(alpha.to_endo())
-        if image != conjugate:
+        # a second way to the image: conjugate regrades psi's x-slots by t0^w and t0 and
+        # divides component i by slot i's factor, in one integer pass each, while the
+        # curve's t-exponents come from torus_conjugate and with_t_set sets t = t0
+        if image != action.conjugate(psi, value):
             raise ConsistencyError(
                 f"specialization at t = {value} is not the expected conjugate"
             )
@@ -412,7 +420,7 @@ def _closure_samples(
             raise ConsistencyError(
                 f"specialization at t = {value} changed the degree"
             )
-        out.append(ClosureSample(value, image, alpha))
+        out.append(ClosureSample(value, image, action.at(value)))
     return out
 
 

@@ -9,7 +9,8 @@ term map, zero coefficients are never stored, and equality is structural,
 so canonical forms are unique.  Substitution (so composition) and setting t
 run on ints.  One-term images a*x^k (diagonal maps, permutations, t set to a
 constant) skip ``_substitute``: ``_regrade`` moves exponents between the key
-slots and only flips signs where a = -1; a scaled permutation only ``_scale``s.
+slots and scales by the a (and by one outer factor) on ints, or only flips
+signs where every factor is 1 or -1; a scaled permutation only ``_scale``s.
 
 All values are immutable after construction and every operation is a pure
 function; polynomials can be shared freely between threads.
@@ -119,9 +120,7 @@ def _t_dropped(nvars: int):
 
 def _quotient(nvars: int, acc: dict, total: int) -> "Poly":
     """The Poly of acc's nonzero int sums, each divided exactly by total."""
-    out = {k: v for k, v in acc.items() if v}
-    if total != 1:
-        out = {k: Fraction(v, total) if v % total else v // total for k, v in out.items()}
+    out = {k: Fraction(v, total) if v % total else v // total for k, v in acc.items() if v}
     return Poly._make(nvars, out)
 
 
@@ -478,45 +477,50 @@ class Poly:
                 acc[k] = v if old is None else old + v
         return _quotient(self.nvars, acc, total)
 
-    def _regrade(self, pick, moved: Sequence[tuple]) -> "Poly":
-        """self with slot j (x1..xn, t) sent to a_j*x^k_j, the k_j distinct unit keys or 0:
-        pick = _key_map(keys) permutes the slots and drops those sent to constants, moved =
-        [(j, p, q)] for a_j = p/q != 1 scales c*x^e by prod a_j^e_j, and colliding keys are
-        summed.  A factor -1 flips signs by parity; the others run on ints as in _substitute,
-        c*clear * prod p^e_j q^(m_j - e_j) over clear * prod q^m_j."""
+    def _regrade(self, pick, moved: Sequence[tuple], outer: tuple = (1, 1)) -> "Poly":
+        """a/b * self for outer = (a, b), with slot j (x1..xn, t) sent to a_j*x^k_j, the k_j
+        distinct unit keys or 0: pick = _key_map(keys) permutes slots and drops those sent to
+        constants, moved = [(j, p, q)] for a_j = p/q != 1 scales c*x^e by prod a_j^e_j, and
+        colliding keys are summed.  If every factor is +-1, signs flip by parity; else, on ints,
+        c*clear*a * prod p^e_j q^(m_j - e_j) over clear*b * prod q^m_j is one _quotient."""
         terms, acc = self._terms, {}
-        if not terms or (pick is None and not moved):
+        a, b = outer
+        if not terms or (pick is None and not moved and a == b):
             return self
         get = acc.get
         flips = [j for j, p, q in moved if p == -1 and q == 1]
-        odd, one = itemgetter(*flips) if flips else None, len(flips) == 1
-        scaled = []
+        if len(flips) == len(moved) and b == 1 and a * a == 1:
+            odd, one, neg = itemgetter(*flips) if flips else None, len(flips) == 1, a == -1
+            for key, c in terms.items():
+                if (odd is not None and (odd(key) if one else sum(odd(key))) & 1) != neg:
+                    c = -c
+                if pick is not None:
+                    key = pick(key + (0,))
+                old = get(key)
+                acc[key] = c if old is None else old + c
+            if len(acc) < len(terms):  # collided: drop zero sums, demote integral ones
+                acc = {k: _norm_coeff(v) for k, v in acc.items() if v}
+            return Poly._make(self.nvars, acc)
+        clear = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
+        scaled, a = [], a * clear
         for j, p, q in moved:
-            if j not in flips:
-                exps = {k[j] for k in terms}
-                m = max(exps)
-                scaled.append((j, {e: p**e * q ** (m - e) for e in exps}, q**m))
-        clear = lcm(*[c.denominator for c in terms.values() if type(c) is not int]) if scaled else 1
+            exps = {k[j] for k in terms}
+            m = max(exps)
+            scaled.append((j, {e: p**e * q ** (m - e) for e in exps}))
+            b *= q**m
         for key, c in terms.items():
-            if scaled:
-                c = c * clear if type(c) is int else c.numerator * (clear // c.denominator)
-                for j, powers, _ in scaled:
-                    c *= powers[key[j]]
-            if odd is not None and (odd(key) if one else sum(odd(key))) & 1:
-                c = -c
+            c = c * a if type(c) is int else c.numerator * (a // c.denominator)
+            for j, powers in scaled:
+                c *= powers[key[j]]
             if pick is not None:
                 key = pick(key + (0,))
             old = get(key)
             acc[key] = c if old is None else old + c
-        if scaled:
-            return _quotient(self.nvars, acc, clear * prod(d for *_, d in scaled))
-        if len(acc) < len(terms):  # collided: drop zero sums, demote integral ones
-            acc = {k: _norm_coeff(v) for k, v in acc.items() if v}
-        return Poly._make(self.nvars, acc)
+        return _quotient(self.nvars, acc, clear * b)
 
     def with_t_set(self, value: Scalar) -> "Poly":
         """Specialize t to an exact rational t0: regrade with t's image the constant t0."""
-        p, q = _as_fraction(value).as_integer_ratio()
+        p, q = (value if type(value) is int else _as_fraction(value)).as_integer_ratio()
         return self._regrade(_t_dropped(self.nvars), [] if p == q else [(self.nvars, p, q)])
 
     def divide_t(self, power: int) -> "Poly":

@@ -5,12 +5,15 @@ module was written: substituting (t^3 x1, t x2, t x3) into the components,
 dividing by t^3 (resp. t), and reading off the t = 0 limit.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import inf
 
 import pytest
 
+import polyauto._linalg
+import polyauto.degeneration
 from polyauto import Poly
 from polyauto.degeneration import (
     ClosureSample,
@@ -41,6 +44,8 @@ from polyauto.errors import (
 )
 from polyauto.groups import AffineMap, nagata, random_tame_word
 from polyauto.parsing import parse_endo
+from polyauto.selfcheck import sample_tame_case
+from test_poly import assert_canonical
 
 
 def x(nvars, i):
@@ -98,7 +103,27 @@ class TestNormalize:
         phi = Endo([x(2, 1) + x(2, 2), x(2, 1) + x(2, 2) + x(2, 1) ** 2])
         with pytest.raises(SingularAffinePart) as info:
             normalize(phi)
-        assert "affine_part" in info.value.certificate
+        assert str(info.value) == "the affine part is singular, so the input is not an automorphism"
+        assert info.value.certificate == {
+            "endo": "[x1 + x2, x1^2 + x1 + x2]",
+            "affine_part": "[x1 + x2, x1 + x2]",
+        }
+
+    def test_affine_correction_eliminates_once(self, monkeypatch):
+        calls = []
+        eliminate = polyauto._linalg._eliminate
+
+        def counted(matrix, augment):
+            calls.append(augment)
+            return eliminate(matrix, augment)
+
+        monkeypatch.setattr(polyauto._linalg, "_eliminate", counted)
+        phi = parse_endo("[2*x1 + x2 + 3 + x2^2, x1 - 1/3*x2 + x1^2*x2]")
+        record = normalize(phi)
+        assert calls == [True]  # one Gauss-Jordan pass inverts; no determinant first
+        alpha = AffineMap.from_endo(phi.affine_part())
+        assert record.affine_inverse == alpha.inverse()
+        assert record.affine_inverse.to_endo().compose(alpha.to_endo()) == Endo.identity(2)
 
     @pytest.mark.parametrize(
         "text",
@@ -109,8 +134,10 @@ class TestNormalize:
         ],
     )
     def test_degenerate_affine_parts_certified(self, text):
-        with pytest.raises(SingularAffinePart):
-            normalize(parse_endo(text))
+        phi = parse_endo(text)
+        with pytest.raises(SingularAffinePart) as info:
+            normalize(phi)
+        assert info.value.certificate == {"endo": str(phi), "affine_part": str(phi.affine_part())}
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ConsistencyError):
@@ -205,7 +232,6 @@ class TestTorusConjugate:
         }
 
     def test_action_at_the_reciprocal_is_the_inverse(self):
-        # closure_witness builds the inverse torus map this way
         values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5)]
         for n in range(2, 5):
             for w in range(2, 6):
@@ -310,6 +336,85 @@ class TestVerifyLimit:
         assert report.valuations[0] == 0
 
 
+FUSED_T0 = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5), Fraction(-7, 3)]
+
+
+def composed_conjugate(action, psi, t0):
+    """at(1/t0) after psi after at(t0), by composing with the two diagonal maps."""
+    return action.at(1 / Fraction(t0)).to_endo().compose(psi).compose(action.at(t0).to_endo())
+
+
+def conjugate_terms(psi, weight, t0):
+    """The conjugate on plain term dicts over Fractions: c*x^e in component i becomes
+    c * t0^(weight*e1 + e2 + ... + en) / s_i, with s_1 = t0^weight and s_i = t0 after."""
+    t0 = Fraction(t0)
+    out = []
+    for i, f in enumerate(psi.components):
+        s = t0**weight if i == 0 else t0
+        out.append({k: c * t0 ** (weight * k[0] + sum(k[1:-1])) / s for k, c in f.terms().items()})
+    return out
+
+
+def assert_fused_conjugate(psi, weight, t0):
+    action = TorusAction(psi.n, weight)
+    fused = action.conjugate(psi, t0)
+    assert fused == composed_conjugate(action, psi, t0)
+    assert [f.terms() for f in fused.components] == conjugate_terms(psi, weight, t0)
+    for f in fused.components:
+        assert_canonical(f)
+
+
+class TestFusedConjugate:
+    """TorusAction.conjugate, the closure check's regrade, against composition and
+    against plain term dicts."""
+
+    @pytest.fixture(scope="class")
+    def fixture_sources(self):
+        return [normalize(sample_tame_case(k)).result for k in range(100)]
+
+    @pytest.mark.parametrize("t0", FUSED_T0, ids=str)
+    def test_fixture_sources(self, t0, fixture_sources):
+        # weights 2-4 cover odd w at t0 = -1, where the x1 factor and the first
+        # component's outer factor are both -1
+        for psi in fixture_sources:
+            for weight in (2, 3, 4):
+                assert_fused_conjugate(psi, weight, t0)
+
+    def test_random_tame_words(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        t0s = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+        @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.integers(2, 4), st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 5), t0s
+        )
+        def agrees(n, seed, length, weight, t0):
+            assert_fused_conjugate(random_tame_word(n, seed, length, 2).to_endo(), weight, t0)
+
+        agrees()
+
+    def test_uses_no_curve_stage(self, monkeypatch):
+        psi = normalize(sample_tame_case(7)).result
+        expected = {t0: conjugate_terms(psi, 3, t0) for t0 in FUSED_T0}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the check must not follow the curve's path")
+
+        monkeypatch.setattr(polyauto.degeneration, "torus_conjugate", forbidden)
+        monkeypatch.setattr(ParamEndo, "specialize", forbidden)
+        monkeypatch.setattr(Poly, "with_t_set", forbidden)
+        for t0, terms in expected.items():
+            fused = TorusAction(psi.n, 3).conjugate(psi, t0)
+            assert [f.terms() for f in fused.components] == terms
+
+    def test_zero_and_mismatched_maps_rejected(self):
+        with pytest.raises(InvalidSample):
+            TorusAction(2, 2).conjugate(shear_xy(), 0)
+        with pytest.raises(DimensionError):
+            TorusAction(3, 2).conjugate(shear_xy(), 2)
+
+
 class TestClosureWitness:
     def test_nagata_samples(self):
         forward, _ = nagata()
@@ -332,6 +437,43 @@ class TestClosureWitness:
     def test_zero_sample_rejected(self):
         with pytest.raises(InvalidSample):
             closure_witness(shear_xy(), [0])
+        with pytest.raises(InvalidSample):
+            closure_witness(witness_report(shear_xy()), [2, 0])
+
+    def test_report_is_sampled_without_running_a_stage(self, monkeypatch):
+        phi = parse_endo("[2*x1 + x2 + x2^3 + x1*x3^2, x2 - 1, x3 + x2^2]")
+        report = witness_report(phi)
+        expected = closure_witness(phi, FUSED_T0)
+        assert [s.t0 for s in expected] == FUSED_T0
+        for s in expected:
+            assert s.torus_map == TorusAction(3, report.data.valuation).at(s.t0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a report holds every stage that sampling needs")
+
+        stages = ("normalize", "degeneration_data", "torus_conjugate", "_checked_limit", "verify_limit")
+        for name in stages:
+            monkeypatch.setattr(polyauto.degeneration, name, forbidden)
+        assert closure_witness(report, FUSED_T0) == expected
+
+    def test_map_runs_no_limit_stage(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampling a map needs no limit")
+
+        monkeypatch.setattr(polyauto.degeneration, "_checked_limit", forbidden)
+        monkeypatch.setattr(polyauto.degeneration, "verify_limit", forbidden)
+        forward, _ = nagata()
+        assert [s.image.degree() for s in closure_witness(forward, [2, -1])] == [5, 5]
+
+    @pytest.mark.parametrize("t0", [2, -1, Fraction(-1, 2), Fraction(3, 5)], ids=str)
+    def test_corrupted_curve_is_caught(self, t0):
+        report = witness_report(nagata()[0])
+        terms = report.curve.components[0].terms()
+        key = next(k for k in terms if k[:-1] + (k[-1] + 1,) not in terms)
+        terms[key[:-1] + (key[-1] + 1,)] = terms.pop(key)  # one t-exponent off by one
+        curve = ParamEndo([Poly(3, terms), *report.curve.components[1:]], 5)
+        with pytest.raises(ConsistencyError, match="not the expected conjugate"):
+            closure_witness(dataclasses.replace(report, curve=curve), [t0])
 
 
 class TestWitnessReport:

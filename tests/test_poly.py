@@ -16,6 +16,7 @@ import pytest
 from polyauto import NEG_INF, Poly
 from polyauto.errors import AlgebraError, DimensionError, UndefinedValuation
 from polyauto.parsing import parse_poly
+from polyauto.poly import _t_dropped
 
 
 def x(nvars, i):
@@ -586,6 +587,32 @@ class TestTParameter:
         assert result.coefficient((1, 0)) == 7
         assert result.coefficient((0, 1)) == Fraction(5, 4) * value**60
         assert_canonical(result)
+
+    @pytest.mark.parametrize("outer", [(1, 1), (-1, 1), (3, 1), (-2, 7), (5, 3)], ids=str)
+    def test_regrade_outer_factor(self, outer):
+        # _regrade's outer a/b scales the result: a joins the clearing multiplier and b
+        # the divisor; where every factor is +-1 and a/b = -1 only signs flip
+        rng = random.Random(5150)
+        factor_sets = [[], [-1], [-1, -1], [2], [-1, Fraction(-3, 5)], [Fraction(1, 2), 3]]
+        for case in range(30):
+            nvars = 1 + case % 3
+            p = random_poly(rng, nvars, 4, 6, with_t=True)
+            for factors in factor_sets:
+                if len(factors) > nvars + 1:
+                    continue
+                slots = rng.sample(range(nvars + 1), len(factors))
+                moved = [(j, *Fraction(a).as_integer_ratio()) for j, a in zip(slots, factors)]
+                for pick in (None, _t_dropped(nvars)):
+                    expected = {}
+                    for key, c in p.terms().items():
+                        v = Fraction(c) * Fraction(*outer)
+                        for j, a in zip(slots, factors):
+                            v *= Fraction(a) ** key[j]
+                        k = key if pick is None else key[:-1] + (0,)
+                        expected[k] = expected.get(k, 0) + v
+                    result = p._regrade(pick, moved, outer)
+                    assert result.terms() == {k: v for k, v in expected.items() if v}
+                    assert_canonical(result)
 
     def test_divide_t_exact(self):
         p = Poly.t(1) ** 2 * x(1, 1) + Poly.t(1) ** 3
