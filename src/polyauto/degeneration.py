@@ -346,7 +346,9 @@ def degenerate(psi: Endo) -> Endo:
 
 
 def _checked_limit(data: DegenerationData, curve: ParamEndo) -> Endo:
-    """The curve at t = 0, which must equal the shear formula's limit map."""
+    """The curve at t = 0, which must equal the shear formula's limit map and be
+    triangular and non-affine.  Every limit passes through here: degenerate and
+    witness_report, hence triangular_witness and the CLI verbs."""
     n = curve.n
     formula = Endo(
         [Poly.variable(n, 1) + data.limit_shear]
@@ -358,15 +360,14 @@ def _checked_limit(data: DegenerationData, curve: ParamEndo) -> Endo:
             "formula path and t -> 0 path disagree: "
             f"{formula} vs {limit}"
         )
+    if not limit.is_triangular() or limit.is_affine():
+        raise ConsistencyError("witness must be triangular and non-affine")
     return limit
 
 
 def triangular_witness(phi: Endo) -> Endo:
-    """Normalize and degenerate: a triangular, non-affine limit of conjugates."""
-    witness = degenerate(normalize(phi).result)
-    if not witness.is_triangular() or witness.is_affine():
-        raise ConsistencyError("witness must be triangular and non-affine")
-    return witness
+    """The witness of witness_report(phi): a triangular, non-affine limit of conjugates."""
+    return witness_report(phi).witness
 
 
 def verify_limit(curve: ParamEndo, limit: Endo) -> LimitReport:
