@@ -84,7 +84,7 @@ class TorusAction:
         scalings = self._scalings(t0)
         moved = [(j, *s.as_integer_ratio()) for j, s in enumerate(scalings) if s != 1]
         over = [(1 / s).as_integer_ratio() for s in scalings]
-        return Endo._make(tuple([f._regrade(None, moved, o) for f, o in zip(psi.components, over)]))
+        return Endo._make(tuple([f._regrade(moved, o) for f, o in zip(psi.components, over)]))
 
 
 class ParamEndo:

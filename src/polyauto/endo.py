@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
-from .poly import NEG_INF, Poly, Scalar, _as_fraction, _key_map, _norm_coeff, _table, _var_key
+from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff, _table, _var_key
 
 # poly_det packs one slot densely only while its degree bound stays within
 # this many times the matrix's term count: a dense value holds a field for
@@ -122,24 +122,18 @@ class Endo:
 
     def compose(self, other: "Endo") -> "Endo":
         """Substitution product; acts on points as self after other.  If self is a scaled
-        permutation (components c*x_j), component i is c*other_j: other_j when c = 1.  Else
-        if other's components are one term each, on distinct variables or constant, self's
-        are regraded on their exponent keys (Poly._regrade); other shapes (x1*x2, x2^2, two
-        images on x1) go through Poly._substitute, one table per image."""
+        permutation (components c*x_j), component i is c*other_j, scaled by Poly._regrade:
+        other_j itself when c = 1.  Every other shape goes through Poly._substitute, with
+        one table per component of other and none for t, which no component mentions."""
         if not isinstance(other, Endo):
             raise DimensionError("can only compose with another endomorphism")
         if self.n != other.n:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
         if all(len(f._terms) == 1 and sum(next(iter(f._terms))) == 1 for f in self.components):
             heads = [next(iter(f._terms.items())) for f in self.components]
-            return Endo._make(tuple([other.components[k.index(1)]._scale(c) for k, c in heads]))
-        if all(len(g._terms) == 1 for g in other.components):
-            keys, scalars = zip(*[next(iter(g._terms.items())) for g in other.components])
-            pick = _key_map(keys + (_var_key(self.n, self.n + 1),))  # t is left fixed
-            if pick is not False:
-                moved = [(j, *a.as_integer_ratio()) for j, a in enumerate(scalars) if a != 1]
-                return Endo._make(tuple([f._regrade(pick, moved) for f in self.components]))
-        slots = [_table(g) for g in [*other.components, Poly.t(self.n)]]
+            images = [(other.components[k.index(1)], c.as_integer_ratio()) for k, c in heads]
+            return Endo._make(tuple([g._regrade([], ratio) for g, ratio in images]))
+        slots = [_table(g) for g in other.components]
         return Endo._make(tuple([f._substitute(slots) for f in self.components]))
 
     def __mul__(self, other):

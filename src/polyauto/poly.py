@@ -7,10 +7,11 @@ rational coefficients: an ``int`` where the value is integral, otherwise a
 the last slot holds the exponent of t.  The zero polynomial has an empty
 term map, zero coefficients are never stored, and equality is structural,
 so canonical forms are unique.  Substitution (so composition) and setting t
-run on ints.  One-term images a*x^k (diagonal maps, permutations, t set to a
-constant) skip ``_substitute``: ``_regrade`` moves exponents between the key
-slots and scales by the a (and by one outer factor) on ints, or only flips
-signs where every factor is 1 or -1; a scaled permutation only ``_scale``s.
+run on ints.  Scaling skips ``_substitute``: ``_regrade`` multiplies each term
+c*x^e by prod a_j^e_j and by one outer factor, on ints, or only flips signs
+where every factor is 1 or -1; setting t to a constant also drops t's
+exponent.  It serves products by a constant, ``with_t_set``, the torus
+conjugation and composition after a scaled permutation.
 
 All values are immutable after construction and every operation is a pure
 function; polynomials can be shared freely between threads.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm, prod
 from operator import itemgetter, lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -82,40 +82,13 @@ def _power(table: dict[int, "Poly"], e: int) -> "Poly":
     return table[e]
 
 
-#: The substitution slot of a zero image: its terms are dropped (see _substitute).
-_DEAD = (1, None)
-
-
 def _table(g: "Poly") -> tuple:
-    """The substitution slot of image g (see _substitute), or _DEAD if g is zero."""
+    """The substitution slot of image g (see _substitute)."""
     terms = g._terms
-    if not terms:
-        return _DEAD
     d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
     if d != 1:
         g = Poly._make(g.nvars, {k: c.numerator * (d // c.denominator) for k, c in terms.items()})
     return d, {1: g}
-
-
-def _key_map(keys: tuple):
-    """How _regrade maps a key padded by one 0, given the slots' image keys k_j: None
-    if each k_j is slot j's own unit key, a pick if they are distinct unit keys or 0,
-    False for any other keys (_regrade does not take them)."""
-    n1 = len(keys)
-    to = [k.index(1) if sum(k) == 1 else n1 if not any(k) else -1 for k in keys]
-    src = {s: j for j, s in enumerate(to) if s != n1}  # target slot -> source slot
-    if -1 in src or len(src) + to.count(n1) < n1:
-        return False
-    src = [src.get(s, n1) for s in range(n1)]
-    if src == list(range(n1)):
-        return None
-    return itemgetter(*src) if n1 > 1 else lambda key: (0,)  # one index gives no tuple
-
-
-@lru_cache(maxsize=64)
-def _t_dropped(nvars: int):
-    """The _key_map of x1..xn fixed and t sent to a constant."""
-    return _key_map(tuple(_var_key(nvars, i) for i in range(1, nvars + 1)) + ((0,) * (nvars + 1),))
 
 
 def _quotient(nvars: int, acc: dict, total: int) -> "Poly":
@@ -341,7 +314,7 @@ class Poly:
             # a monomial shifts every key of b: no collisions, no cancellation
             [(ka, ca)] = a.items()
             if not any(ka):
-                return q._scale(ca)
+                return q._regrade([], ca.as_integer_ratio())
             return Poly._make(
                 self.nvars,
                 {tuple(map(int.__add__, ka, kb)): _norm_coeff(ca * cb) for kb, cb in b.items()},
@@ -376,23 +349,12 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _scale(self, c: Scalar) -> "Poly":
-        """c * self on the values alone; self itself when c == 1."""
-        if c == 1 or not c:
-            return self if c else Poly.zero(self.nvars)
-        p, q = c.as_integer_ratio()
-        out = {}
-        for k, v in self._terms.items():
-            v = v * p if q == 1 and type(v) is int else Fraction(v.numerator * p, v.denominator * q)
-            out[k] = _norm_coeff(v)
-        return Poly._make(self.nvars, out)
-
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             if not c:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return self._scale(1 / c)
+            return self._regrade([], (1 / c).as_integer_ratio())
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
@@ -437,15 +399,14 @@ class Poly:
 
     def _substitute(self, slots: Sequence[tuple]) -> "Poly":
         # slots[i] = _table(image of slot i): (d, powers of the int image d*g)
-        # with d the lcm of g's denominators.  Zero images (_DEAD) drop their
-        # terms first.  With clear*self integral and m the top exponent per slot,
-        # c*x^e adds the int c*clear * prod d^(m-e) * prod (d*g)^e to one
-        # accumulator; each sum is divided once by total = clear * prod d^m.
-        # The slots' power tables are shared by every polynomial they substitute into.
+        # with d the lcm of g's denominators; slots past the last table (t, for a
+        # t-free self) must carry exponent 0.  With clear*self integral and m the
+        # top exponent per slot, c*x^e adds the int c*clear * prod d^(m-e) *
+        # prod (d*g)^e to one accumulator; each sum is divided once by total =
+        # clear * prod d^m.  A zero image's powers are zero, so the terms that use
+        # it add nothing.  The slots' power tables are shared by every polynomial
+        # they substitute into.
         source = self._terms
-        if _DEAD in slots:
-            dead = [i for i, slot in enumerate(slots) if slot is _DEAD]
-            source = {k: c for k, c in source.items() if not any(k[i] for i in dead)}
         zero_key = (0,) * (self.nvars + 1)
         clear = lcm(*[c.denominator for c in source.values() if type(c) is not int])
         scaled = [
@@ -477,15 +438,15 @@ class Poly:
                 acc[k] = v if old is None else old + v
         return _quotient(self.nvars, acc, total)
 
-    def _regrade(self, pick, moved: Sequence[tuple], outer: tuple = (1, 1)) -> "Poly":
-        """a/b * self for outer = (a, b), with slot j (x1..xn, t) sent to a_j*x^k_j, the k_j
-        distinct unit keys or 0: pick = _key_map(keys) permutes slots and drops those sent to
-        constants, moved = [(j, p, q)] for a_j = p/q != 1 scales c*x^e by prod a_j^e_j, and
-        colliding keys are summed.  If every factor is +-1, signs flip by parity; else, on ints,
-        c*clear*a * prod p^e_j q^(m_j - e_j) over clear*b * prod q^m_j is one _quotient."""
+    def _regrade(self, moved: Sequence[tuple], outer=(1, 1), drop_t=False) -> "Poly":
+        """a/b * self for outer = (a, b), with c*x^e scaled by prod a_j^e_j for moved =
+        [(j, p, q)], a_j = p/q != 1 the factor of slot j (x1..xn, t); with drop_t, t's
+        exponent goes to 0 and colliding keys are summed.  If every factor is +-1, signs
+        flip by parity; else, on ints, c*clear*a * prod p^e_j q^(m_j - e_j) over
+        clear*b * prod q^m_j is one _quotient."""
         terms, acc = self._terms, {}
         a, b = outer
-        if not terms or (pick is None and not moved and a == b):
+        if not terms or (not drop_t and not moved and a == b):
             return self
         get = acc.get
         flips = [j for j, p, q in moved if p == -1 and q == 1]
@@ -494,8 +455,8 @@ class Poly:
             for key, c in terms.items():
                 if (odd is not None and (odd(key) if one else sum(odd(key))) & 1) != neg:
                     c = -c
-                if pick is not None:
-                    key = pick(key + (0,))
+                if drop_t:
+                    key = key[:-1] + (0,)
                 old = get(key)
                 acc[key] = c if old is None else old + c
             if len(acc) < len(terms):  # collided: drop zero sums, demote integral ones
@@ -512,16 +473,16 @@ class Poly:
             c = c * a if type(c) is int else c.numerator * (a // c.denominator)
             for j, powers in scaled:
                 c *= powers[key[j]]
-            if pick is not None:
-                key = pick(key + (0,))
+            if drop_t:
+                key = key[:-1] + (0,)
             old = get(key)
             acc[key] = c if old is None else old + c
         return _quotient(self.nvars, acc, clear * b)
 
     def with_t_set(self, value: Scalar) -> "Poly":
-        """Specialize t to an exact rational t0: regrade with t's image the constant t0."""
+        """Specialize t to an exact rational t0: scale t's slot by t0 and drop its exponent."""
         p, q = (value if type(value) is int else _as_fraction(value)).as_integer_ratio()
-        return self._regrade(_t_dropped(self.nvars), [] if p == q else [(self.nvars, p, q)])
+        return self._regrade([] if p == q else [(self.nvars, p, q)], drop_t=True)
 
     def divide_t(self, power: int) -> "Poly":
         """Exact division by t**power; every term must carry at least that power."""

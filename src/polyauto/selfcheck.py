@@ -135,7 +135,8 @@ def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
     report's curve through :func:`closure_witness` at t0 in {-1, 2, 1/2},
     which raises unless each image has the source's degree and is the
     expected conjugate; each image's Jacobian must equal the source's, and
-    the witness must have degree w.
+    the witness must have degree w.  A case whose pipeline raised has no
+    curve to sample, so it fails both suites.
     """
     pipeline = SuiteResult("degeneration-pipeline", cases)
     rigidity = SuiteResult("curve-rigidity", cases)
@@ -145,6 +146,7 @@ def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
             report = witness_report(sample_tame_case(k))
         except AlgebraError as error:
             pipeline.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
+            rigidity.failures.append(f"case {k}: not sampled: the pipeline raised")
             continue
         mid = time.perf_counter()
         pipeline.seconds += mid - start

@@ -16,7 +16,6 @@ import pytest
 from polyauto import NEG_INF, Poly
 from polyauto.errors import AlgebraError, DimensionError, UndefinedValuation
 from polyauto.parsing import parse_poly
-from polyauto.poly import _t_dropped
 
 
 def x(nvars, i):
@@ -175,8 +174,8 @@ WIDE_EXPONENTS = (0, 1, 2, 3, 2**15 - 1, 2**15, 2**16, 10**19)
 
 
 class TestScalarProduct:
-    """p * c scales the values in one pass (Poly._scale), for an int, a
-    Fraction or a constant Poly c, on either side."""
+    """p * c scales the values in one pass (Poly._regrade with no moved slot),
+    for an int, a Fraction or a constant Poly c, on either side."""
 
     @pytest.mark.parametrize("c", [0, 1, -1, 3, Fraction(-2, 7)], ids=repr)
     def test_matches_dict_convolution(self, c):
@@ -187,7 +186,7 @@ class TestScalarProduct:
                 p = p * 12  # denominators are at most 4: integral, so int coefficients
             constant = {(0,) * (p.nvars + 1): c} if c else {}
             expected = dict_convolution(p.terms(), constant)
-            for product in (p._scale(c), p * c, c * p, p * Poly.const(p.nvars, c)):
+            for product in (p * c, c * p, p * Poly.const(p.nvars, c)):
                 assert product.terms() == expected
                 assert_canonical(product)
 
@@ -198,7 +197,7 @@ class TestScalarProduct:
         assert scaled.terms() == expected
         assert_canonical(scaled)
         assert_canonical(p / Fraction(1, 6))
-        assert p._scale(1) is p
+        assert p * 1 is p
 
 
 class TestPackedProduct:
@@ -591,7 +590,8 @@ class TestTParameter:
     @pytest.mark.parametrize("outer", [(1, 1), (-1, 1), (3, 1), (-2, 7), (5, 3)], ids=str)
     def test_regrade_outer_factor(self, outer):
         # _regrade's outer a/b scales the result: a joins the clearing multiplier and b
-        # the divisor; where every factor is +-1 and a/b = -1 only signs flip
+        # the divisor; where every factor is +-1 and a/b = -1 only signs flip; drop_t
+        # sends t's exponent to 0 and sums the keys that collide
         rng = random.Random(5150)
         factor_sets = [[], [-1], [-1, -1], [2], [-1, Fraction(-3, 5)], [Fraction(1, 2), 3]]
         for case in range(30):
@@ -602,15 +602,15 @@ class TestTParameter:
                     continue
                 slots = rng.sample(range(nvars + 1), len(factors))
                 moved = [(j, *Fraction(a).as_integer_ratio()) for j, a in zip(slots, factors)]
-                for pick in (None, _t_dropped(nvars)):
+                for drop_t in (False, True):
                     expected = {}
                     for key, c in p.terms().items():
                         v = Fraction(c) * Fraction(*outer)
                         for j, a in zip(slots, factors):
                             v *= Fraction(a) ** key[j]
-                        k = key if pick is None else key[:-1] + (0,)
+                        k = key[:-1] + (0,) if drop_t else key
                         expected[k] = expected.get(k, 0) + v
-                    result = p._regrade(pick, moved, outer)
+                    result = p._regrade(moved, outer, drop_t)
                     assert result.terms() == {k: v for k, v in expected.items() if v}
                     assert_canonical(result)
 

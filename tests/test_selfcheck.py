@@ -107,7 +107,8 @@ class TestFaultsStillFail:
         monkeypatch.setattr(Endo, method, lambda self: value)
         pipeline, rigidity = degeneration_suites(2)
         assert_raised(pipeline.failures, "witness must be triangular and non-affine")
-        assert rigidity.passed  # a case whose pipeline fails is not sampled
+        # a case whose pipeline fails has no curve to sample, so rigidity fails too
+        assert rigidity.failures == [f"case {k}: not sampled: the pipeline raised" for k in range(2)]
         assert_raised(nagata_golden().failures, "witness must be triangular and non-affine")
 
     def test_curve_at_one(self, monkeypatch):
