@@ -267,26 +267,19 @@ def _cmd_selfcheck(args) -> tuple:
         raise _UsageError("--cases and --shear-cases must be at least 1")
     from .selfcheck import run_all
 
-    # timings are deliberately omitted: identical invocations must produce
-    # byte-identical output
+    # neither the payload nor SuiteResult.line carries timings: identical
+    # invocations must produce byte-identical output
     results = run_all(args.cases, args.shear_cases)
     payload = {
         "suites": [
-            {
-                "name": r.name,
-                "cases": r.cases,
-                "failures": list(r.failures),
-                "passed": r.passed,
-            }
+            {"name": r.name, "cases": r.cases, "failures": list(r.failures), "passed": r.passed}
             for r in results
         ],
         "pass": all(r.passed for r in results),
     }
     lines = []
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}: {r.cases - len(r.failures)}/{r.cases} cases")
-        lines.extend(f"  {failure}" for failure in r.failures)
+        lines += [r.line(), *(f"  {failure}" for failure in r.failures)]
     lines.append("all suites passed" if payload["pass"] else "FAILURES present")
     return payload, lines, 0 if payload["pass"] else 2
 

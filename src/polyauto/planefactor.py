@@ -2,9 +2,10 @@
 
 The classical degree-reduction loop: while the map (f, g) is not affine,
 the smaller component degree must divide the larger and the smaller
-leading form's power must be proportional to the larger leading form;
-composing on the left with the elementary map that cancels the top form
-strictly reduces deg f + deg g.  A successful run terminates in an
+leading form's k-th power must be proportional to the larger leading form.
+One step cancels that top form (g's on a tie): an affine mix when k = 1,
+else the elementary shear, conjugated by the swap when it acts on g.  Each
+step strictly reduces deg f + deg g.  A successful run terminates in an
 invertible affine map and assembles a word of affine and triangular
 letters that recomposes exactly to the input, which proves the input is an
 automorphism.  Any failing step is returned as a rejection certificate,
@@ -12,7 +13,11 @@ sound because plane automorphisms always admit such a reduction.
 
 A constant-Jacobian pre-check fast-fails inputs whose Jacobian determinant
 is not a nonzero constant (with the determinant as evidence); it is only a
-shortcut, never the acceptance path.
+shortcut, never the acceptance path.  Past it, ``constant-component`` and
+``singular-affine`` cannot fire (either would make the Jacobian 0), nor can
+``no-decrease`` (each step cancels the top form exactly); ``divisibility``
+and ``non-proportional`` fire only on a counterexample to the plane
+Jacobian conjecture.  The checks stay, because they are the sound decision.
 """
 
 from __future__ import annotations
@@ -35,9 +40,8 @@ def leading_form(f: Poly) -> Poly:
 
 def _proportionality(p: Poly, q: Poly) -> Fraction | None:
     """The constant c with p == c * q, or None if no such constant exists."""
-    anchor = max(q.terms())
-    denom = q.terms()[anchor]
-    c = Fraction(p.terms().get(anchor, 0)) / Fraction(denom)
+    anchor = max(q._terms)
+    c = Fraction(p._terms.get(anchor, 0), q._terms[anchor])
     if c == 0:
         return None
     return c if p == c * q else None
@@ -145,8 +149,9 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
 
     inverse_letters: list[tuple[Generator, int]] = []
     steps: list[ReductionStep] = []
-    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    x2 = Poly.variable(2, 2)
     swap = AffineMap.transposition(2, 1, 2)
+    swapped = swap.to_endo()  # its own inverse
 
     while True:
         f, g = current.components
@@ -157,9 +162,7 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
             except DimensionError:
                 raise reject("singular-affine", "reduction ended in a singular affine map")
             letters = _merge_letters(inverse_letters + [(final, 1)])
-            if not letters:
-                letters = [(AffineMap.identity(2), 1)]
-            word = Word(letters)
+            word = Word(letters or [(AffineMap.identity(2), 1)])
             return PlaneFactorization(word, sigma, tuple(steps))
 
         if min(d1, d2) < 1:
@@ -168,49 +171,38 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
                 "a component is constant while the other has degree >= 2",
             )
 
+        # cancel the top form of the larger component (g on a tie) by c times
+        # the k-th power of the other's top form
         before = (d1, d2)
-        if d1 == d2:
-            c = _proportionality(leading_form(g), leading_form(f))
-            if c is None:
-                raise reject(
-                    "non-proportional",
-                    "equal degrees but leading forms are not proportional",
-                )
-            # affine mix g <- g - c*f
+        on_g = d2 >= d1
+        big, small = "gf" if on_g else "fg"
+        top, other = (g, f) if on_g else (f, g)
+        low, high = sorted(before)
+        k, rest = divmod(high, low)
+        if rest:
+            detail = f"deg {big} = {high} is not a multiple of deg {small} = {low}"
+            raise reject("divisibility", detail)
+        c = _proportionality(leading_form(top), leading_form(other) ** k)
+        if c is None:
+            raise reject(
+                "non-proportional",
+                f"leading form of {big} is not proportional to the power of that of {small}"
+                if k > 1
+                else "equal degrees but leading forms are not proportional",
+            )
+        if k == 1:  # affine mix g <- g - c*f
             mix = AffineMap([[1, 0], [-c, 1]], [0, 0])
-            current = mix.to_endo().compose(current)
-            inverse_letters.append((mix, -1))
-            letter_text = f"mix g -= {c}*f"
-        elif d1 > d2:
-            if d1 % d2 != 0:
-                raise reject("divisibility", f"deg f = {d1} is not a multiple of deg g = {d2}")
-            k = d1 // d2
-            c = _proportionality(leading_form(f), leading_form(g) ** k)
-            if c is None:
-                raise reject(
-                    "non-proportional",
-                    "leading form of f is not proportional to the power of that of g",
-                )
+            step, letters, letter_text = mix.to_endo(), [(mix, -1)], f"mix g -= {c}*f"
+        else:  # the shear f <- f - c*g^k, conjugated by the swap when it acts on g
             beta = TriangularMap([1, 1], [-c * x2**k, Poly.zero(2)])
-            current = beta.to_endo().compose(current)
-            inverse_letters.append((beta, -1))
-            letter_text = f"elementary f -= {c}*g^{k}"
-        else:
-            if d2 % d1 != 0:
-                raise reject("divisibility", f"deg g = {d2} is not a multiple of deg f = {d1}")
-            k = d2 // d1
-            c = _proportionality(leading_form(g), leading_form(f) ** k)
-            if c is None:
-                raise reject(
-                    "non-proportional",
-                    "leading form of g is not proportional to the power of that of f",
-                )
-            # transposed elementary: conjugate the shear by the swap
-            beta = TriangularMap([1, 1], [-c * x2**k, Poly.zero(2)])
-            transposed = swap.to_endo().compose(beta.to_endo()).compose(swap.to_endo())
-            current = transposed.compose(current)
-            inverse_letters.extend([(swap, 1), (beta, -1), (swap, 1)])
-            letter_text = f"transposed elementary g -= {c}*f^{k}"
+            step, letters = beta.to_endo(), [(beta, -1)]
+            letter_text = f"elementary {big} -= {c}*{small}^{k}"
+            if on_g:
+                step = swapped.compose(step).compose(swapped)
+                letters = [(swap, 1), *letters, (swap, 1)]
+                letter_text = f"transposed {letter_text}"
+        current = step.compose(current)
+        inverse_letters.extend(letters)
 
         after = tuple(p.total_degree() for p in current.components)
         steps.append(ReductionStep(before, after, letter_text))

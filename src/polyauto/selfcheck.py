@@ -6,6 +6,13 @@ compositions) walk sub-seeds in a fixed order.  Tame-word cases cycle
 n through 2, 3, 4 and the word length through 1..6; draws whose composed
 components exceed a term cap are redrawn, which keeps the exact arithmetic
 desk-scale without touching the distributions of the letters themselves.
+
+Every suite is a list of labelled checks that one runner, ``_run``, drives.
+A check returns its failure texts, which the runner writes as
+``label: text``.  The runner alone owns the clock, so ``SuiteResult.seconds``
+is the suite's own work summed over its checks, and it turns every
+AlgebraError that a check raises into that check's one failure
+``label: raised <Error>: ...``: no library error escapes a suite.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .degeneration import closure_witness, degenerate, witness_report
 from .endo import Endo
@@ -45,9 +53,10 @@ class SuiteResult:
         return not self.failures
 
     def line(self) -> str:
+        """The status line; it carries no seconds, so equal runs print equal bytes."""
         status = "PASS" if self.passed else "FAIL"
         ok = self.cases - len(self.failures)
-        return f"{status} {self.name}: {ok}/{self.cases} cases ({self.seconds:.1f}s)"
+        return f"{status} {self.name}: {ok}/{self.cases} cases"
 
 
 def sample_tame_case(k: int) -> Endo:
@@ -61,11 +70,8 @@ def sample_tame_case(k: int) -> Endo:
             degree = endo.degree()
         except DegenerateInput:
             continue
-        if degree < 2:
-            continue
-        if max(len(f.terms()) for f in endo.components) > TERM_CAP:
-            continue
-        return endo
+        if degree >= 2 and max(len(f) for f in endo.components) <= TERM_CAP:
+            return endo
     raise AlgebraError(f"tame sampler exhausted its attempts for case {k}")
 
 
@@ -90,6 +96,30 @@ def random_rational_point(rng: random.Random, n: int) -> list[Fraction]:
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
 
 
+def _run(name: str, cases: int, checks: list) -> SuiteResult:
+    """Run labelled checks into one suite result.
+
+    ``checks`` holds (label, check) pairs; each check returns its failure
+    texts.  The clock covers the checks only, and an AlgebraError raised
+    inside one becomes its single failure ``raised <Error>: ...``.
+    """
+    result = SuiteResult(name, cases)
+    for label, check in checks:
+        start = time.perf_counter()
+        try:
+            failures = check()
+        except AlgebraError as error:
+            failures = [f"raised {type(error).__name__}: {error}"]
+        result.seconds += time.perf_counter() - start
+        result.failures.extend(f"{label}: {text}" for text in failures)
+    return result
+
+
+def _cases(check, cases: int) -> list:
+    """check(k) for each case k, labelled ``case k``."""
+    return [(f"case {k}", partial(check, k)) for k in range(cases)]
+
+
 def nagata_golden() -> SuiteResult:
     """The frozen degeneration of the Nagata map, read off one witness_report.
 
@@ -97,15 +127,14 @@ def nagata_golden() -> SuiteResult:
     report has already checked against the formula path and for its
     triangular, non-affine shape.
     """
-    start = time.perf_counter()
-    result = SuiteResult("nagata-golden", 1)
-    failures = []
-    try:
+
+    def check():
         forward, _ = nagata()
         x1, x2, x3 = Poly.variables(3)
         expected = Endo([x1 - 2 * x2**3, x2, x3])
         report = witness_report(forward)
         data = report.data
+        failures = []
         if data.obstruction != -2 * x2**3 - x3 * x2**4:
             failures.append(f"obstruction {data.obstruction}")
         if data.valuation != 3:
@@ -117,100 +146,70 @@ def nagata_golden() -> SuiteResult:
             failures.append(f"formula path {formula_path}")
         if report.witness != expected:
             failures.append(f"limit path {report.witness}")
-    except AlgebraError as error:
-        failures.append(f"raised {type(error).__name__}: {error}")
-    result.failures = failures
-    result.seconds = time.perf_counter() - start
-    return result
+        return failures
+
+    return _run("nagata-golden", 1, [("nagata", check)])
 
 
 def degeneration_suites(cases: int = 100) -> tuple[SuiteResult, SuiteResult]:
-    """One pass over the tame schedule: pipeline checks, then curve rigidity.
+    """One pipeline run per case: pipeline checks, then curve rigidity.
 
     The first result covers :func:`witness_report`, which raises on a bad
     normalization, a zero obstruction, a valuation out of bounds, inexact
     clearing of the parameter powers, a curve that is not the source at
     t = 1, disagreeing limit paths, a witness that is not triangular and
-    non-affine, or a failed limit verification.  The second samples the
+    non-affine, or a failed limit verification.  The second samples each
     report's curve through :func:`closure_witness` at t0 in {-1, 2, 1/2},
     which raises unless each image has the source's degree and is the
     expected conjugate; each image's Jacobian must equal the source's, and
     the witness must have degree w.  A case whose pipeline raised has no
     curve to sample, so it fails both suites.
     """
-    pipeline = SuiteResult("degeneration-pipeline", cases)
-    rigidity = SuiteResult("curve-rigidity", cases)
-    start = time.perf_counter()
-    for k in range(cases):
-        try:
-            report = witness_report(sample_tame_case(k))
-        except AlgebraError as error:
-            pipeline.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
-            rigidity.failures.append(f"case {k}: not sampled: the pipeline raised")
-            continue
-        mid = time.perf_counter()
-        pipeline.seconds += mid - start
-        start = mid
-        try:
-            source_jacobian = report.normalization.result.jacobian_det()
-            for sample in closure_witness(report, (-1, 2, Fraction(1, 2))):
-                if sample.image.jacobian_det() != source_jacobian:
-                    rigidity.failures.append(f"case {k}: jacobian drift at t={sample.t0}")
-                    break
-            else:
-                if report.witness.degree() != report.data.valuation:
-                    rigidity.failures.append(f"case {k}: limit degree")
-        except AlgebraError as error:
-            rigidity.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
-        mid = time.perf_counter()
-        rigidity.seconds += mid - start
-        start = mid
-    return pipeline, rigidity
+    reports = {}
+
+    def pipeline(k):
+        reports[k] = witness_report(sample_tame_case(k))
+        return []
+
+    def rigidity(k):
+        report = reports.pop(k, None)
+        if report is None:
+            return ["not sampled: the pipeline raised"]
+        source_jacobian = report.normalization.result.jacobian_det()
+        for sample in closure_witness(report, (-1, 2, Fraction(1, 2))):
+            if sample.image.jacobian_det() != source_jacobian:
+                return [f"jacobian drift at t={sample.t0}"]
+        return [] if report.witness.degree() == report.data.valuation else ["limit degree"]
+
+    return (
+        _run("degeneration-pipeline", cases, _cases(pipeline, cases)),
+        _run("curve-rigidity", cases, _cases(rigidity, cases)),
+    )
 
 
 def monoid_suite(cases: int = 100) -> SuiteResult:
     """Associativity, identity, evaluation homomorphism, Jacobian chain rule."""
-    result = SuiteResult("monoid-laws", cases)
-    start = time.perf_counter()
-    for k in range(cases):
+
+    def check(k):
         rng = random.Random(MONOID_SUITE_BASE + k)
         n = 2 + k % 2
-        sigma = random_endo(rng, n)
-        tau = random_endo(rng, n)
-        rho = random_endo(rng, n)
-        try:
-            left = sigma.compose(tau).compose(rho)
-            right = sigma.compose(tau.compose(rho))
-            if left != right:
-                result.failures.append(f"case {k}: associativity")
-                continue
-            ident = Endo.identity(n)
-            if sigma.compose(ident) != sigma or ident.compose(sigma) != sigma:
-                result.failures.append(f"case {k}: identity law")
-                continue
-            composed = sigma.compose(tau)
-            jac_composed = composed.jacobian_det()
-            jac_sigma = sigma.jacobian_det()
-            jac_tau = tau.jacobian_det()
-            ok = True
-            for _ in range(20):
-                a = random_rational_point(rng, n)
-                if composed(a) != sigma(tau(a)):
-                    result.failures.append(f"case {k}: evaluation homomorphism")
-                    ok = False
-                    break
-                lhs = jac_composed.evaluate(a)
-                rhs = jac_sigma.evaluate(tau(a)) * jac_tau.evaluate(a)
-                if lhs != rhs:
-                    result.failures.append(f"case {k}: jacobian chain rule")
-                    ok = False
-                    break
-            if not ok:
-                continue
-        except AlgebraError as error:
-            result.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
-    result.seconds = time.perf_counter() - start
-    return result
+        sigma, tau, rho = (random_endo(rng, n) for _ in range(3))
+        if sigma.compose(tau).compose(rho) != sigma.compose(tau.compose(rho)):
+            return ["associativity"]
+        ident = Endo.identity(n)
+        if sigma.compose(ident) != sigma or ident.compose(sigma) != sigma:
+            return ["identity law"]
+        composed = sigma.compose(tau)
+        jac_composed, jac_sigma, jac_tau = (e.jacobian_det() for e in (composed, sigma, tau))
+        for _ in range(20):
+            a = random_rational_point(rng, n)
+            if composed(a) != sigma(tau(a)):
+                return ["evaluation homomorphism"]
+            if jac_composed.evaluate(a) != jac_sigma.evaluate(tau(a)) * jac_tau.evaluate(a):
+                return ["jacobian chain rule"]
+        return []
+
+    return _run("monoid-laws", cases, _cases(check, cases))
 
 
 def word_inversion_suite(cases: int = 100) -> SuiteResult:
@@ -220,25 +219,17 @@ def word_inversion_suite(cases: int = 100) -> SuiteResult:
     composition orders give the identity, and checks that its Jacobian is
     exactly 1.
     """
-    result = SuiteResult("word-inversion", cases)
-    start = time.perf_counter()
-    try:
+
+    def nagata_check():
         forward, _ = nagata()
-        if forward.jacobian_det() != Poly.const(3, 1):
-            result.failures.append("nagata: jacobian")
-    except AlgebraError as error:
-        result.failures.append(f"nagata: raised {type(error).__name__}: {error}")
-    for k in range(cases):
+        return [] if forward.jacobian_det() == Poly.const(3, 1) else ["jacobian"]
+
+    def check(k):
         n = 2 + k % 3
-        length = 1 + k % 4
-        word = random_tame_word(n, INVERSION_SUITE_BASE + k, length, 2)
-        try:
-            if word.concat(word.inverse()).to_endo() != Endo.identity(n):
-                result.failures.append(f"case {k}: round trip")
-        except AlgebraError as error:
-            result.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
-    result.seconds = time.perf_counter() - start
-    return result
+        word = random_tame_word(n, INVERSION_SUITE_BASE + k, 1 + k % 4, 2)
+        return [] if word.concat(word.inverse()).to_endo() == Endo.identity(n) else ["round trip"]
+
+    return _run("word-inversion", cases, [("nagata", nagata_check), *_cases(check, cases)])
 
 
 def plane_roundtrip_suite(cases: int = 100) -> SuiteResult:
@@ -247,32 +238,31 @@ def plane_roundtrip_suite(cases: int = 100) -> SuiteResult:
     A factorization is returned only if its word recomposes exactly to the
     source (PlaneFactorization checks it on construction).
     """
-    result = SuiteResult("plane-factorization", cases)
-    start = time.perf_counter()
-    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
-    for sigma in (Endo([x1, x1 * x2]), Endo([x1**2, x2])):
-        try:
-            factor_plane(sigma)
-            result.failures.append(f"reject corpus: {sigma} was accepted")
-        except NotAnAutomorphism as error:
-            if not error.certificate:
-                result.failures.append(f"reject corpus: {sigma} lacks a certificate")
-    for k in range(cases):
-        word = random_tame_word(2, PLANE_SUITE_BASE + k, 1 + k % 6, 3)
-        sigma = word.to_endo()
-        try:
-            factor_plane(sigma)
-        except AlgebraError as error:
-            result.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
-    result.seconds = time.perf_counter() - start
-    return result
+
+    def reject_corpus():
+        failures = []
+        x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+        for sigma in (Endo([x1, x1 * x2]), Endo([x1**2, x2])):
+            try:
+                factor_plane(sigma)
+                failures.append(f"{sigma} was accepted")
+            except NotAnAutomorphism as error:
+                if not error.certificate:
+                    failures.append(f"{sigma} lacks a certificate")
+        return failures
+
+    def check(k):
+        factor_plane(random_tame_word(2, PLANE_SUITE_BASE + k, 1 + k % 6, 3).to_endo())
+        return []
+
+    checks = [("reject corpus", reject_corpus), *_cases(check, cases)]
+    return _run("plane-factorization", cases, checks)
 
 
 def shear_fixed_point_suite(cases: int = 25) -> SuiteResult:
     """Degeneration fixes every elementary homogeneous shear."""
-    result = SuiteResult("shear-fixed-points", cases)
-    start = time.perf_counter()
-    for k in range(cases):
+
+    def check(k):
         rng = random.Random(SHEAR_SUITE_BASE + k)
         n = 2 + k % 3
         weight = 2 + k % 3
@@ -282,20 +272,12 @@ def shear_fixed_point_suite(cases: int = 25) -> SuiteResult:
             for _ in range(weight):
                 key[rng.randrange(1, n)] += 1
             terms[tuple(key)] = rng.randint(1, 9) * rng.choice([-1, 1])
-        shear_poly = Poly(n, terms)
-        if shear_poly.is_zero:
-            shear_poly = Poly.variable(n, n) ** weight
-        shear = Endo(
-            [Poly.variable(n, 1) + shear_poly]
-            + [Poly.variable(n, i) for i in range(2, n + 1)]
-        )
-        try:
-            if degenerate(shear) != shear:
-                result.failures.append(f"case {k}: moved by degeneration")
-        except AlgebraError as error:
-            result.failures.append(f"case {k}: raised {type(error).__name__}: {error}")
-    result.seconds = time.perf_counter() - start
-    return result
+        xs = Poly.variables(n)
+        shear_poly = Poly(n, terms) or xs[-1] ** weight
+        shear = Endo([xs[0] + shear_poly, *xs[1:]])
+        return [] if degenerate(shear) == shear else ["moved by degeneration"]
+
+    return _run("shear-fixed-points", cases, _cases(check, cases))
 
 
 def run_all(cases: int = 100, shear_cases: int = 25) -> list[SuiteResult]:

@@ -7,7 +7,7 @@ from hashlib import sha256
 
 import pytest
 
-from polyauto import Poly, selfcheck
+from polyauto import Poly, parse_endo, selfcheck
 from polyauto.endo import Endo
 from polyauto.errors import DegenerateInput, DimensionError, NotAnAutomorphism
 from polyauto.groups import AffineMap, TriangularMap, Word, format_word, random_tame_word
@@ -142,6 +142,47 @@ class TestIsPlaneAutomorphism:
                 points = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))]
                 values = {sigma(p) for p in points}
                 assert len(values) < len(points)
+
+
+EQUAL = "equal degrees but leading forms are not proportional"
+
+
+class TestRejectionsBehindTheJacobian:
+    """The reduction's own rejections, reached by forcing the Jacobian pre-check
+    to pass: with a true Jacobian each of these maps fails that pre-check first."""
+
+    @pytest.mark.parametrize(
+        "text, reason, detail, stage, multidegree",
+        [
+            ("[x1 + x2^3, x2 + x1^2]", "divisibility",
+             "deg f = 3 is not a multiple of deg g = 2", 0, ["3", "2"]),
+            ("[x1 + x2^2, x2 + x1^3]", "divisibility",
+             "deg g = 3 is not a multiple of deg f = 2", 0, ["2", "3"]),
+            ("[x1 + x2^2, x2 + x1^2]", "non-proportional", EQUAL, 0, ["2", "2"]),
+            ("[x1 + x1*x2^3, x2 + x1^2]", "non-proportional",
+             "leading form of f is not proportional to the power of that of g", 0, ["4", "2"]),
+            ("[x1 + x2^2, x2 + x1^3*x2]", "non-proportional",
+             "leading form of g is not proportional to the power of that of f", 0, ["2", "4"]),
+            ("[x1^2, 5]", "constant-component",
+             "a component is constant while the other has degree >= 2", 0, ["2", "0"]),
+            ("[x1 + x2, x1 + x2]", "singular-affine",
+             "reduction ended in a singular affine map", 0, ["1", "1"]),
+            ("[x1 + x2^3 + (x2 + x1^2)^2, x2 + x1^2]", "divisibility",
+             "deg f = 3 is not a multiple of deg g = 2", 1, ["3", "2"]),
+        ],
+    )
+    def test_certificate(self, monkeypatch, text, reason, detail, stage, multidegree):
+        monkeypatch.setattr(Endo, "jacobian_det", lambda self: Poly.const(2, 1))
+        with pytest.raises(NotAnAutomorphism) as info:
+            factor_plane(parse_endo(text))
+        assert str(info.value) == f"not an automorphism: {detail}"
+        assert info.value.certificate == {
+            "reason": reason,
+            "stage": stage,
+            "multidegree": multidegree,
+            "detail": detail,
+            "jacobian": "1",
+        }
 
 
 class TestRoundTrip:

@@ -23,8 +23,10 @@ from polyauto.degeneration import (
     witness_report,
 )
 from polyauto.endo import Endo
+from polyauto.errors import DimensionError
 from polyauto.groups import nagata
 from polyauto.selfcheck import (
+    SuiteResult,
     degeneration_suites,
     nagata_golden,
     plane_roundtrip_suite,
@@ -157,3 +159,31 @@ class TestFaultsStillFail:
         suite = word_inversion_suite(2)
         assert_raised(suite.failures, "inversion check")
         assert suite.failures[0].startswith("nagata: ")
+
+
+def injected(*args, **kwargs):
+    raise DimensionError("injected")
+
+
+class TestSuiteErrorPolicy:
+    """Every library error inside a suite, wherever it is raised, becomes one
+    labelled ``raised <Error>: ...`` failure instead of escaping the suite."""
+
+    def test_reject_corpus(self, monkeypatch):
+        monkeypatch.setattr(Endo, "jacobian_det", injected)
+        suite = plane_roundtrip_suite(2)
+        assert suite.failures == [
+            "reject corpus: raised DimensionError: injected",
+            "case 0: raised DimensionError: injected",
+            "case 1: raised DimensionError: injected",
+        ]
+
+    def test_word_sampler(self, monkeypatch):
+        monkeypatch.setattr(polyauto.selfcheck, "random_tame_word", injected)
+        suite = word_inversion_suite(2)
+        assert suite.failures == [f"case {k}: raised DimensionError: injected" for k in range(2)]
+
+    def test_status_line_carries_no_seconds(self):
+        suite = SuiteResult("monoid-laws", 3, ["case 1: associativity"], seconds=2.5)
+        assert suite.line() == "FAIL monoid-laws: 2/3 cases"
+        assert SuiteResult("monoid-laws", 3).line() == "PASS monoid-laws: 3/3 cases"
