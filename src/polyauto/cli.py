@@ -95,10 +95,6 @@ def _load_endo(text: str) -> Endo:
     return parse_endo(text)
 
 
-def _degree_str(value) -> str:
-    return "-inf" if value == float("-inf") else str(value)
-
-
 def _valuations_json(valuations):
     return [None if v == inf else v for v in valuations]
 
@@ -123,7 +119,7 @@ def _cmd_info(args) -> tuple:
     payload = {
         "endo": str(sigma),
         "n": sigma.n,
-        "degree": _degree_str(max(f.total_degree() for f in sigma.components)),
+        "degree": str(sigma._top_degree()),  # "-inf" for the all-zero map
         "affine": sigma.is_affine(),
         "triangular": sigma.is_triangular(),
         "identity_affine_part": sigma.has_identity_affine_part(),

@@ -42,7 +42,7 @@ from .errors import (
 )
 from ._linalg import invert_affine
 from .groups import AffineMap
-from .poly import Poly, Scalar, _as_fraction
+from .poly import Poly, Scalar, _as_fraction, _is_quotient
 
 
 def tail_indices(n: int) -> set[int]:
@@ -76,15 +76,19 @@ class TorusAction:
         """The invertible diagonal map at a nonzero parameter value."""
         return AffineMap.diagonal(self._scalings(t0))
 
-    def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
-        """at(t0)^-1 after psi after at(t0), with no map built: component i of psi with each x_j
-        times s_j (t0^weight, then t0), over s_i, in one integer Poly._regrade of its keys."""
+    def _regraded(self, psi: Endo, t0: Scalar, sums=False) -> list:
+        """Component i of psi with each x_j times s_j (t0^weight, then t0), over s_i, by one
+        Poly._regrade of its keys; with sums, a +-1 regrade's Poly or an int one's (acc, total)."""
         if psi.n != self.n:
             raise DimensionError(f"torus on {self.n} variables, map on {psi.n}")
         scalings = self._scalings(t0)
         moved = [(j, *s.as_integer_ratio()) for j, s in enumerate(scalings) if s != 1]
         over = [(1 / s).as_integer_ratio() for s in scalings]
-        return Endo._make(tuple([f._regrade(moved, o) for f, o in zip(psi.components, over)]))
+        return [f._regrade(moved, o, sums=sums) for f, o in zip(psi.components, over)]
+
+    def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
+        """at(t0)^-1 after psi after at(t0), with no map built (see _regraded)."""
+        return Endo._make(tuple(self._regraded(psi, t0)))
 
 
 class ParamEndo:
@@ -391,8 +395,9 @@ def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> lis
     phi is a raw map, or a WitnessReport whose normalized map psi, data and curve
     are sampled as they stand, with no stage run again.  Each sample is checked
     before it is emitted: its image must have the degree of psi and must equal
-    torus_map^-1 after psi after torus_map, which TorusAction.conjugate computes
-    from psi alone, in one integer regrade per component, not from the curve.
+    torus_map^-1 after psi after torus_map, which is checked from psi alone, not
+    from the curve: the image's coefficients times one divisor must give the sums
+    of one integer regrade per component, so no Fraction of the conjugate is built.
     """
     if isinstance(phi, WitnessReport):
         psi, data, curve = phi.normalization.result, phi.data, phi.curve
@@ -410,10 +415,11 @@ def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> lis
                 {"sample": str(raw)},
             )
         image = curve.specialize(value)
-        # a second way to the image: conjugate regrades psi's x-slots by t0^w and t0 and
-        # divides component i by slot i's factor, in one integer pass each, while the
-        # curve's t-exponents come from torus_conjugate and with_t_set sets t = t0
-        if image != action.conjugate(psi, value):
+        # a second way to the image: regrade psi's x-slots by t0^w and t0, over slot i's factor
+        # in component i, and compare integer sums with coefficients times one divisor; the
+        # curve's t-exponents come from torus_conjugate, and with_t_set sets t = t0
+        pairs = zip(image.components, action._regraded(psi, value, sums=True))
+        if not all(g == r if type(r) is Poly else _is_quotient(g, *r) for g, r in pairs):
             raise ConsistencyError(
                 f"specialization at t = {value} is not the expected conjugate"
             )

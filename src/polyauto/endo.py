@@ -146,9 +146,13 @@ class Endo:
 
     # -- degree and structure --------------------------------------------------
 
+    def _top_degree(self):
+        """Maximum component degree, NEG_INF for the all-zero map: t-free keys sum to degrees."""
+        return max(max(map(sum, f._terms), default=NEG_INF) for f in self.components)
+
     def degree(self) -> int:
         """Maximum component degree; rejects the all-zero endomorphism."""
-        d = max(f.total_degree() for f in self.components)
+        d = self._top_degree()
         if d == NEG_INF:
             raise DegenerateInput("the all-zero endomorphism has no degree")
         return d
@@ -178,8 +182,7 @@ class Endo:
 
     def is_affine(self) -> bool:
         """Degree one with invertible linear part."""
-        degree = max(f.total_degree() for f in self.components)
-        return degree == 1 and _linalg.det(self.linear_matrix()) != 0
+        return self._top_degree() == 1 and _linalg.det(self.linear_matrix()) != 0
 
     def is_triangular(self) -> bool:
         """Component i must be a_i*x_i + p_i with a_i != 0 and p_i in later variables."""

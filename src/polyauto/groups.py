@@ -72,7 +72,7 @@ class AffineMap:
     @classmethod
     def from_endo(cls, sigma: Endo) -> "AffineMap":
         """The affine map of a degree-one endomorphism; the constructor rejects a singular one."""
-        if max(f.total_degree() for f in sigma.components) != 1:
+        if sigma._top_degree() != 1:
             raise DimensionError("endomorphism is not an affine map")
         return cls(sigma.linear_matrix(), sigma.translation())
 

@@ -8,10 +8,10 @@ the last slot holds the exponent of t.  The zero polynomial has an empty
 term map, zero coefficients are never stored, and equality is structural,
 so canonical forms are unique.  Substitution (so composition) and setting t
 run on ints.  Scaling skips ``_substitute``: ``_regrade`` multiplies each term
-c*x^e by prod a_j^e_j and by one outer factor, on ints, or only flips signs
-where every factor is 1 or -1; setting t to a constant also drops t's
-exponent.  It serves products by a constant, ``with_t_set``, the torus
-conjugation and composition after a scaled permutation.
+c*x^e by prod a_j^e_j and an outer factor on ints, divided once, or flips signs
+where every factor is +-1; setting t also drops t's exponent.  It serves
+products by a constant, ``with_t_set``, composition after a scaled permutation
+and the torus conjugation, whose check reads its int sums (``_is_quotient``).
 
 All values are immutable after construction and every operation is a pure
 function; polynomials can be shared freely between threads.
@@ -95,6 +95,19 @@ def _quotient(nvars: int, acc: dict, total: int) -> "Poly":
     """The Poly of acc's nonzero int sums, each divided exactly by total."""
     out = {k: Fraction(v, total) if v % total else v // total for k, v in acc.items() if v}
     return Poly._make(nvars, out)
+
+
+def _is_quotient(g: "Poly", acc: dict, total: int) -> bool:
+    """g == _quotient(g.nvars, acc, total), with no Fraction built: g's coefficient num/den
+    (den 1 for an int) at each nonzero sum v's key has num*total == v*den, and no other key."""
+    terms, nonzero = g._terms, 0
+    for k, v in acc.items():
+        if v:
+            nonzero += 1
+            c = terms.get(k)
+            if c is None or c.numerator * total != v * c.denominator:
+                return False
+    return nonzero == len(terms)
 
 
 class Poly:
@@ -438,12 +451,13 @@ class Poly:
                 acc[k] = v if old is None else old + v
         return _quotient(self.nvars, acc, total)
 
-    def _regrade(self, moved: Sequence[tuple], outer=(1, 1), drop_t=False) -> "Poly":
+    def _regrade(self, moved: Sequence[tuple], outer=(1, 1), drop_t=False, sums=False):
         """a/b * self for outer = (a, b), with c*x^e scaled by prod a_j^e_j for moved =
         [(j, p, q)], a_j = p/q != 1 the factor of slot j (x1..xn, t); with drop_t, t's
         exponent goes to 0 and colliding keys are summed.  If every factor is +-1, signs
         flip by parity; else, on ints, c*clear*a * prod p^e_j q^(m_j - e_j) over
-        clear*b * prod q^m_j is one _quotient."""
+        total = clear*b * prod q^m_j is one _quotient.  With sums, that integer path
+        returns (acc, total) before _quotient, for _is_quotient to compare."""
         terms, acc = self._terms, {}
         a, b = outer
         if not terms or (not drop_t and not moved and a == b):
@@ -477,7 +491,7 @@ class Poly:
                 key = key[:-1] + (0,)
             old = get(key)
             acc[key] = c if old is None else old + c
-        return _quotient(self.nvars, acc, clear * b)
+        return (acc, clear * b) if sums else _quotient(self.nvars, acc, clear * b)
 
     def with_t_set(self, value: Scalar) -> "Poly":
         """Specialize t to an exact rational t0: scale t's slot by t0 and drop its exponent."""

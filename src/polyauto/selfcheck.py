@@ -55,7 +55,8 @@ class SuiteResult:
     def line(self) -> str:
         """The status line; it carries no seconds, so equal runs print equal bytes."""
         status = "PASS" if self.passed else "FAIL"
-        ok = self.cases - len(self.failures)
+        failed = {failure.split(": ", 1)[0] for failure in self.failures}  # one per check
+        ok = max(self.cases - len(failed), 0)
         return f"{status} {self.name}: {ok}/{self.cases} cases"
 
 

@@ -38,6 +38,12 @@ class TestInfo:
         assert payload["jacobian"] == "1"
         assert payload["identity_affine_part"] is True
 
+    @pytest.mark.parametrize("text, degree", [("[0, 0]", "-inf"), ("[0, x1^3 + 1]", "3")])
+    def test_degree_with_zero_components(self, capsys, text, degree):
+        code, out, _ = run_cli(capsys, "info", text, "--json")
+        assert code == 0
+        assert json.loads(out)["degree"] == degree
+
     def test_huge_exponent_is_fast_and_exact(self, capsys):
         # one sparse power: the parser squares, and the determinant keeps
         # the exponent in a key field instead of a dense coefficient range
@@ -681,3 +687,52 @@ print(json.dumps([code, sorted(sys.modules)]))
         assert sorted(loaded & self.HEAVY) == []
         if argv[0] == "info":
             assert "polyauto.groups" not in loaded
+
+
+class TestHashSeedBytes:
+    """stdout is byte-deterministic: no term-dict insertion order may reach it, so each
+    run prints the same bytes in fresh interpreters under PYTHONHASHSEED 0 and 1."""
+
+    FACTOR2_MAP = (  # random_tame_word(2, 273, 4, 3): a transposed step, a mix, an elementary step
+        "[-8*x2^2 - 2*x1 - 2, 256*x2^4 + 128*x1*x2^2 + 16*x1^2 + 80*x2^2 + 20*x1 + 4*x2 - 18]"
+    )
+    RUNS = {
+        "selfcheck": [("selfcheck", "--cases", "5", "--shear-cases", "3", "--json")],
+        "nagata-curve": [("nagata",), ("curve", "--samples", "1,-1,2,1/2,-2/3,3/7", "-")],
+        # valuation w = 3: at negative t0 the closure check's x1 factor t0^w is negative
+        "curve-odd": [("curve", "--samples=-1,-2,-1/2,3/5", "[x1 + x2^3 + x1*x2^4, x2]")],
+        "witness": [("witness", "[2*x1 + x2^2, x2]", "--json")],
+        # a permutation on the right runs Poly._substitute
+        "compose": [("compose", "[x1 + x2^3 + x1*x2, x2]", "[x2, -x1]")],
+        "factor2": [("factor2", FACTOR2_MAP)],
+        # a certificate is one JSON object under --json and an abbreviation argparse accepts
+        "certificate-json": [("degenerate", "[x1 + x2, x2]", "--json")],
+        "certificate-js": [("degenerate", "[x1 + x2, x2]", "--js")],
+    }
+
+    @staticmethod
+    def pipeline(steps, seed):
+        """Each step's stdout is the next step's stdin; returns the last (code, stdout)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polyauto.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        out = b""
+        for argv in steps:
+            done = subprocess.run(
+                [sys.executable, "-m", "polyauto.cli", *argv],
+                input=out,
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            out = done.stdout
+        return done.returncode, out
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_same_bytes_under_two_hash_seeds(self, name):
+        (code, out), again = (self.pipeline(self.RUNS[name], seed) for seed in (0, 1))
+        assert again == (code, out)
+        if name.startswith("certificate"):
+            assert code == 2
+            assert isinstance(json.loads(out), dict)
+        else:
+            assert code == 0 and out

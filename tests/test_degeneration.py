@@ -476,6 +476,75 @@ class TestClosureWitness:
             closure_witness(dataclasses.replace(report, curve=curve), [t0])
 
 
+class TestNumeratorCheck:
+    """closure_witness compares each sample image with the integer sums of the conjugate's
+    regrade, times their one divisor; every corrupted image must fail that comparison."""
+
+    NAGATA_T0 = [2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5)]
+
+    def sample_corrupted(self, monkeypatch, t0, corrupt):
+        """closure_witness of the Nagata report at t0, with corrupt(terms, total) applied to
+        the terms of the image's first component; total is that component's divisor, 1 on
+        the +-1 path, whose result is a Poly."""
+        report = witness_report(nagata()[0])
+        psi = report.normalization.result
+        first = TorusAction(3, report.data.valuation)._regraded(psi, t0, sums=True)[0]
+        total = 1 if isinstance(first, Poly) else first[1]
+        specialize = ParamEndo.specialize
+
+        def corrupted(curve, value):
+            image = specialize(curve, value)
+            terms = image.components[0].terms()
+            corrupt(terms, total)
+            return Endo([Poly(3, terms), *image.components[1:]])
+
+        monkeypatch.setattr(ParamEndo, "specialize", corrupted)
+        return closure_witness(report, [t0])
+
+    @pytest.mark.parametrize("t0", NAGATA_T0, ids=str)
+    def test_untouched_image_passes(self, monkeypatch, t0):
+        [sample] = self.sample_corrupted(monkeypatch, t0, lambda terms, total: None)
+        assert sample.image == TorusAction(3, 3).conjugate(nagata()[0], t0)
+
+    @pytest.mark.parametrize("t0", NAGATA_T0, ids=str)
+    def test_coefficient_off_by_one_over_total(self, monkeypatch, t0):
+        def nudge(terms, total):
+            key = max(terms)
+            terms[key] += Fraction(1, total)
+
+        with pytest.raises(ConsistencyError, match="not the expected conjugate"):
+            self.sample_corrupted(monkeypatch, t0, nudge)
+
+    @pytest.mark.parametrize("t0", NAGATA_T0, ids=str)
+    def test_dropped_term(self, monkeypatch, t0):
+        with pytest.raises(ConsistencyError, match="not the expected conjugate"):
+            self.sample_corrupted(monkeypatch, t0, lambda terms, total: terms.pop(min(terms)))
+
+    @pytest.mark.parametrize("t0", [*NAGATA_T0, -1], ids=str)
+    def test_extra_term(self, monkeypatch, t0):
+        # a constant term keeps the degree, so only the conjugate check can see it
+        def extra(terms, total):
+            assert (0, 0, 0, 0) not in terms
+            terms[(0, 0, 0, 0)] = Fraction(1, total)
+
+        with pytest.raises(ConsistencyError, match="not the expected conjugate"):
+            self.sample_corrupted(monkeypatch, t0, extra)
+
+    @pytest.mark.parametrize("t0", [-1, -2, Fraction(-1, 2), Fraction(-3, 5)], ids=str)
+    def test_x1_factor_sign_at_odd_weight(self, monkeypatch, t0):
+        # at odd w and negative t0 the x1 factor t0^w is negative; an image conjugated by
+        # -t0^w in its place keeps every t-free term and the degree, but not the signs
+        forward = nagata()[0]
+        report = witness_report(forward)
+        wrong = AffineMap.diagonal([-(Fraction(t0) ** 3), t0, t0])
+        image = wrong.inverse().to_endo().compose(forward).compose(wrong.to_endo())
+        assert image != TorusAction(3, 3).conjugate(forward, t0)
+        assert image.degree() == forward.degree()
+        monkeypatch.setattr(ParamEndo, "specialize", lambda curve, value: image)
+        with pytest.raises(ConsistencyError, match="not the expected conjugate"):
+            closure_witness(report, [t0])
+
+
 class TestWitnessReport:
     def test_bundles_everything(self):
         forward, _ = nagata()

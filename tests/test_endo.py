@@ -323,6 +323,25 @@ class TestDegreeAndParts:
         with pytest.raises(DegenerateInput):
             Endo([Poly.zero(2), Poly.zero(2)]).degree()
 
+    def test_key_sums_match_total_degree(self):
+        # degree and the other degree readings sum whole keys (an Endo is t-free);
+        # the oracle is the per-component total_degree, which drops the t slot
+        sources = [selfcheck.sample_tame_case(k) for k in range(100)]
+        maps = sources + [normalize(phi).result for phi in sources]
+        maps.append(Endo([Poly.zero(3), x(3, 2) ** 4 + x(3, 1), x(3, 3)]))
+        for sigma in maps:
+            expected = max(f.total_degree() for f in sigma.components)
+            assert sigma._top_degree() == sigma.degree() == expected
+            assert not sigma.is_affine()
+        zero = Endo([Poly.zero(2), Poly.zero(2)])
+        assert zero._top_degree() == float("-inf")
+        assert not zero.is_affine()
+        with pytest.raises(DimensionError):
+            AffineMap.from_endo(zero)
+        affine = Endo([x(2, 2) + 1, 2 * x(2, 1)])
+        assert affine._top_degree() == affine.degree() == 1 and affine.is_affine()
+        assert AffineMap.from_endo(affine).to_endo() == affine
+
     def test_affine_part(self):
         sigma = Endo([x(2, 1) + 3 + 2 * x(2, 2) + x(2, 2) ** 2, x(2, 2)])
         assert sigma.affine_part() == Endo([x(2, 1) + 2 * x(2, 2) + 3, x(2, 2)])

@@ -183,6 +183,14 @@ class TestSuiteErrorPolicy:
         suite = word_inversion_suite(2)
         assert suite.failures == [f"case {k}: raised DimensionError: injected" for k in range(2)]
 
+    def test_status_line_counts_failed_checks(self, monkeypatch):
+        # the reject corpus and both cases fail: three failure lines over two cases
+        monkeypatch.setattr(Endo, "jacobian_det", injected)
+        assert plane_roundtrip_suite(2).line() == "FAIL plane-factorization: 0/2 cases"
+        # a check that writes several failures fails once
+        suite = SuiteResult("monoid-laws", 3, ["case 1: associativity", "case 1: identity law"])
+        assert suite.line() == "FAIL monoid-laws: 2/3 cases"
+
     def test_status_line_carries_no_seconds(self):
         suite = SuiteResult("monoid-laws", 3, ["case 1: associativity"], seconds=2.5)
         assert suite.line() == "FAIL monoid-laws: 2/3 cases"
