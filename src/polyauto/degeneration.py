@@ -94,14 +94,14 @@ class TorusAction:
 class ParamEndo:
     """A one-parameter family of maps with components in x1..xn and t.
 
-    Produced by :func:`torus_conjugate`; specializing the parameter at
-    t = 1 returns the source map exactly, and t = 0 is always defined
-    because all denominators were cleared at construction.
+    Produced by :func:`torus_conjugate`; specializing the parameter at t = 1 returns the
+    source map exactly, and t = 0 is always defined because all denominators were cleared
+    at construction.  Immutable by convention: no operation mutates one, no setter guards it.
     """
 
-    __slots__ = ("n", "components", "source_degree")
+    __slots__ = ("n", "components")
 
-    def __init__(self, components: Sequence[Poly], source_degree: int):
+    def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
         if not components:
             raise DimensionError("a parametric map needs at least one component")
@@ -111,7 +111,6 @@ class ParamEndo:
                 raise DimensionError("components must be polynomials in n variables and t")
         self.n = n
         self.components = components
-        self.source_degree = source_degree
 
     def specialize(self, t0: Scalar) -> Endo:
         return Endo._make(tuple([f.with_t_set(t0) for f in self.components]))
@@ -119,19 +118,16 @@ class ParamEndo:
     def __eq__(self, other):
         if not isinstance(other, ParamEndo):
             return NotImplemented
-        return (
-            self.components == other.components
-            and self.source_degree == other.source_degree
-        )
+        return self.components == other.components
 
     def __hash__(self):
-        return hash((self.components, self.source_degree))
+        return hash(self.components)
 
     def __str__(self):
         return "[" + ", ".join(str(f) for f in self.components) + "]"
 
     def __repr__(self):
-        return f"ParamEndo({str(self)!r}, source_degree={self.source_degree})"
+        return f"ParamEndo({str(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -306,7 +302,8 @@ def torus_conjugate(psi: Endo, weight: int) -> ParamEndo:
     genuine pole; those terms are returned, before the division, as an
     overring-violation certificate.  For experimentation the weight need not
     come from :func:`degeneration_data`; a wrong weight either trips the
-    violation or yields a different limit.
+    violation or yields a different limit.  The curve holds its components
+    only; the source's degree is :attr:`DegenerationData.source_degree`.
     """
     n = psi.n
     lift = TorusAction(n, weight).weight - 1  # the action checks the weight
@@ -327,7 +324,7 @@ def torus_conjugate(psi: Endo, weight: int) -> ParamEndo:
                 },
             )
         components.append(Poly._make(n, terms))
-    curve = ParamEndo(components, psi.degree())
+    curve = ParamEndo(components)
     if curve.specialize(1) != psi:
         raise ConsistencyError("specializing the curve at t = 1 must return the source")
     return curve

@@ -86,9 +86,10 @@ class CoeffVector:
 
 
 class Endo:
-    """An n-tuple of t-free polynomials under substitution composition."""
+    """An n-tuple of t-free polynomials under substitution composition, immutable by
+    convention like Poly: no operation mutates one, no setter guards it."""
 
-    __slots__ = ("n", "components", "_hash")
+    __slots__ = ("n", "components")
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -106,12 +107,11 @@ class Endo:
                 raise DimensionError("endomorphism components must not involve t")
         self.n = n
         self.components = components
-        self._hash = None
 
     @classmethod
     def _make(cls, components: tuple) -> "Endo":
         self = object.__new__(cls)  # trusted: t-free Polys in len(components) variables
-        self.n, self.components, self._hash = len(components), components, None
+        self.n, self.components = len(components), components
         return self
 
     @classmethod
@@ -247,11 +247,7 @@ class Endo:
         return self.n == other.n and self.components == other.components
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.components))
-            self._hash = h
-        return h
+        return hash((self.n, self.components))
 
     def __str__(self):
         return "[" + ", ".join(str(f) for f in self.components) + "]"

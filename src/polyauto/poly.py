@@ -13,8 +13,8 @@ where every factor is +-1; setting t also drops t's exponent.  It serves
 products by a constant, ``with_t_set``, composition after a scaled permutation
 and the torus conjugation, whose check reads its int sums (``_is_quotient``).
 
-All values are immutable after construction and every operation is a pure
-function; polynomials can be shared freely between threads.
+Values are immutable by convention: no operation mutates one and no setter
+guards it; every operation is a pure function, so values can be shared freely.
 
     >>> x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
     >>> str((x2 + x1) * (x2 - x1))
@@ -111,9 +111,10 @@ def _is_quotient(g: "Poly", acc: dict, total: int) -> bool:
 
 
 class Poly:
-    """Immutable sparse polynomial in x1..xn and the parameter t."""
+    """Sparse polynomial in x1..xn and the parameter t, immutable by convention: no
+    operation mutates one, no setter guards it."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
         if nvars < 0:
@@ -138,18 +139,15 @@ class Poly:
                         clean[key] = c
                     else:
                         del clean[key]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        self.nvars = nvars
+        self._terms = clean
 
     @classmethod
     def _make(cls, nvars: int, terms: dict) -> "Poly":
         # Trusted fast path: terms already canonical (int values where
         # integral, Fraction otherwise, no zeros, full-length keys).
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self.nvars, self._terms = nvars, terms
         return self
 
     # -- constructors ------------------------------------------------------
@@ -540,11 +538,9 @@ class Poly:
         return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self.is_constant():  # equal to its coefficient (see __eq__), so hashed alike
+            return hash(self.constant_term())
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         """Terms in descending graded-lexicographic order, x1 > ... > xn > t."""

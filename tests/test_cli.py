@@ -339,6 +339,16 @@ class TestRandomTame:
         assert out == ""
         assert err == "error: n must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--length", "word length must be at least 1"), ("--dmax", "dmax must be at least 1")],
+    )
+    def test_length_or_dmax_below_one_is_an_error_naming_it(self, capsys, flag, message):
+        code, out, err = run_cli(capsys, "random-tame", "--n", "3", flag, "0", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestStdinAndErrors:
     def test_stdin_operand(self, capsys, monkeypatch):

@@ -199,6 +199,22 @@ class TestTorusConjugate:
         assert curve.components == nagata_curve_components()
         assert curve.specialize(1) == forward
 
+    def test_values_compare_and_hash_by_content(self):
+        forward, _ = nagata()
+        for other in (parse_endo(str(forward)), Endo.identity(3).compose(forward)):
+            assert other == forward and hash(other) == hash(forward)
+        curves = [torus_conjugate(psi, 3) for psi in (forward, parse_endo(str(forward)))]
+        assert curves[0] == curves[1] and hash(curves[0]) == hash(curves[1])
+        assert str(curves[0]) == str(curves[1])
+        assert repr(curves[0]) == f"ParamEndo({str(curves[1])!r})"
+        x1 = x(2, 1)
+        assert 1 - x1 == -(x1 - 1)
+        # a constant equals its coefficient, so it must hash as one too
+        for p, c in [(Poly.const(2, 1), 1), (Poly.const(2, Fraction(-1, 2)), Fraction(-1, 2)),
+                     (Poly.zero(2), 0)]:
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1 and c in {p}
+
     def test_wrong_weight_trips_overring_check(self):
         psi = Endo([x(2, 1) + x(2, 2) ** 2 + x(2, 2) ** 3, x(2, 2)])
         with pytest.raises(OverringViolation) as info:
@@ -471,7 +487,7 @@ class TestClosureWitness:
         terms = report.curve.components[0].terms()
         key = next(k for k in terms if k[:-1] + (k[-1] + 1,) not in terms)
         terms[key[:-1] + (key[-1] + 1,)] = terms.pop(key)  # one t-exponent off by one
-        curve = ParamEndo([Poly(3, terms), *report.curve.components[1:]], 5)
+        curve = ParamEndo([Poly(3, terms), *report.curve.components[1:]])
         with pytest.raises(ConsistencyError, match="not the expected conjugate"):
             closure_witness(dataclasses.replace(report, curve=curve), [t0])
 

@@ -1,6 +1,7 @@
 """Tests for the package's public names, which resolve on first use."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -94,3 +95,19 @@ def test_import_loads_no_submodule():
         check=True,
     )
     assert done.stdout.strip() == "['polyauto']"
+
+
+def test_bench_trace_targets_resolve():
+    # the tracer replaces each target in its owner's __dict__, so a renamed or deleted
+    # target would only fail a bench run with tracing on
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attribute_path, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        *outer, name = attribute_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert name in vars(owner), f"{module_name}.{attribute_path}"

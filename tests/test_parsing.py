@@ -244,6 +244,21 @@ class TestParseEndo:
         with pytest.raises(ParseError):
             parse_endo("[x1, x2] extra")
 
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("[x1^x2, x2]", 4, "exponent must be a natural number"),
+            ("[a, x2]", 1, "unknown variable 'a'"),
+            ("[x0, x2]", 1, "variable indices start at 1"),
+            ("[x1, x2", 7, "expected ',' or ']', found 'end of input'"),
+        ],
+    )
+    def test_malformed_token_is_named_at_its_position(self, text, position, message):
+        with pytest.raises(ParseError) as info:
+            parse_endo(text)
+        assert info.value.position == position
+        assert str(info.value) == f"{message} (at position {position})"
+
     def test_trailing_whitespace_accepted(self):
         # piped input usually ends with a newline
         assert parse_endo("[x1, x2]\n") == Endo.identity(2)
