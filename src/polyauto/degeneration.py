@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
+from operator import mul
 from typing import Sequence
 
-from .endo import Endo
+from .endo import Endo, _PolyTuple
 from .errors import (
     ConsistencyError,
     DegenerateInput,
@@ -66,11 +67,16 @@ class TorusAction:
         if self.weight < 2:
             raise DimensionError("torus weight must be at least 2")
 
+    @property
+    def _weights(self) -> tuple[int, ...]:
+        """The exponent of t in each slot's factor: (weight, 1, ..., 1)."""
+        return (self.weight,) + (1,) * (self.n - 1)
+
     def _scalings(self, t0: Scalar) -> list[Fraction]:
         value = _as_fraction(t0)
         if value == 0:
             raise InvalidSample("the torus action is not invertible at t = 0", {"sample": "0"})
-        return [value**self.weight] + [value] * (self.n - 1)
+        return [value if w == 1 else value**w for w in self._weights]  # no Fraction for t0**1
 
     def at(self, t0: Scalar) -> AffineMap:
         """The invertible diagonal map at a nonzero parameter value."""
@@ -91,15 +97,14 @@ class TorusAction:
         return Endo._make(tuple(self._regraded(psi, t0)))
 
 
-class ParamEndo:
+class ParamEndo(_PolyTuple):
     """A one-parameter family of maps with components in x1..xn and t.
 
     Produced by :func:`torus_conjugate`; specializing the parameter at t = 1 returns the
-    source map exactly, and t = 0 is always defined because all denominators were cleared
-    at construction.  Immutable by convention: no operation mutates one, no setter guards it.
+    source map exactly, and t = 0 is defined because construction cleared all denominators.
     """
 
-    __slots__ = ("n", "components")
+    __slots__ = ()
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -109,25 +114,10 @@ class ParamEndo:
         for f in components:
             if not isinstance(f, Poly) or f.nvars != n:
                 raise DimensionError("components must be polynomials in n variables and t")
-        self.n = n
-        self.components = components
+        self.n, self.components = n, components
 
     def specialize(self, t0: Scalar) -> Endo:
         return Endo._make(tuple([f.with_t_set(t0) for f in self.components]))
-
-    def __eq__(self, other):
-        if not isinstance(other, ParamEndo):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __str__(self):
-        return "[" + ", ".join(str(f) for f in self.components) + "]"
-
-    def __repr__(self):
-        return f"ParamEndo({str(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -295,23 +285,21 @@ def degeneration_data(psi: Endo) -> DegenerationData:
 def torus_conjugate(psi: Endo, weight: int) -> ParamEndo:
     """Conjugate by the diagonal action of the given weight and clear t exactly.
 
-    The action (t^w x1, t x2, ..., t xn) only regrades monomials: it sends
-    c*x^e to c*t^(w*e1 + e2 + ... + en)*x^e.  Each component is then divided
-    by t^k, with k = weight for the first slot and 1 otherwise, by shifting
-    the t-exponents of its keys.  A term whose t-exponent stays below k is a
-    genuine pole; those terms are returned, before the division, as an
-    overring-violation certificate.  For experimentation the weight need not
-    come from :func:`degeneration_data`; a wrong weight either trips the
-    violation or yields a different limit.  The curve holds its components
-    only; the source's degree is :attr:`DegenerationData.source_degree`.
+    The action (t^w x1, t x2, ..., t xn) only regrades monomials: it sends c*x^e to
+    c*t^(w*e1 + e2 + ... + en)*x^e.  Component i is then divided by t^k, with k the
+    weight of slot i in the action's (w, 1, ..., 1), by shifting the t-exponents of its
+    keys.  A term whose t-exponent stays below k is a genuine pole; those terms are
+    returned, before the division, as an overring-violation certificate.  For
+    experimentation the weight need not come from :func:`degeneration_data`; a wrong
+    weight either trips the violation or yields a different limit.  The curve holds its
+    components only; the source's degree is :attr:`DegenerationData.source_degree`.
     """
     n = psi.n
-    lift = TorusAction(n, weight).weight - 1  # the action checks the weight
+    weights = TorusAction(n, weight)._weights  # the action checks the weight
     components = []
-    for index, f in enumerate(psi.components, start=1):
-        required = weight if index == 1 else 1
+    for index, (f, required) in enumerate(zip(psi.components, weights), start=1):
         # the x-exponents are unchanged, so the keys stay distinct and canonical
-        terms = {k[:-1] + (k[-1] + lift * k[0] + sum(k[:-1]) - required,): c for k, c in f}
+        terms = {k[:-1] + (k[-1] + sum(map(mul, weights, k)) - required,): c for k, c in f}
         residual = {k[:-1] + (k[-1] + required,): c for k, c in terms.items() if k[-1] < 0}
         if residual:
             raise OverringViolation(

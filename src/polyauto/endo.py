@@ -22,7 +22,8 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
-from .poly import NEG_INF, Poly, Scalar, _as_fraction, _norm_coeff, _table, _var_key
+from .poly import NEG_INF, Poly, Scalar, _as_fraction, _layout, _norm_coeff, _packed_product
+from .poly import _table, _var_key
 
 # poly_det packs one slot densely only while its degree bound stays within
 # this many times the matrix's term count: a dense value holds a field for
@@ -85,11 +86,31 @@ class CoeffVector:
         return f"CoeffVector(n={self.n}, d={self.d}, len={len(self.entries)})"
 
 
-class Endo:
-    """An n-tuple of t-free polynomials under substitution composition, immutable by
-    convention like Poly: no operation mutates one, no setter guards it."""
+class _PolyTuple:
+    """A tuple of n polynomials in n variables, compared, hashed and rendered by its
+    components; immutable like Poly by convention: no operation mutates one."""
 
     __slots__ = ("n", "components")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
+
+    def __str__(self):
+        return "[" + ", ".join(str(f) for f in self.components) + "]"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class Endo(_PolyTuple):
+    """An n-tuple of t-free polynomials under substitution composition."""
+
+    __slots__ = ()
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -105,8 +126,7 @@ class Endo:
                 )
             if f.mentions_t():
                 raise DimensionError("endomorphism components must not involve t")
-        self.n = n
-        self.components = components
+        self.n, self.components = n, components
 
     @classmethod
     def _make(cls, components: tuple) -> "Endo":
@@ -217,9 +237,9 @@ class Endo:
 
     def coeff_vector(self, d: int) -> CoeffVector:
         """Linear encoding of an endomorphism of degree <= d."""
-        if self.degree() > d:
+        if (top := self._top_degree()) > d:  # the all-zero map's NEG_INF is in every filtration
             raise FiltrationError(
-                f"degree {self.degree()} endomorphism does not lie in the degree-{d} filtration"
+                f"degree {top} endomorphism does not lie in the degree-{d} filtration"
             )
         order = monomials_upto(self.n, d)
         entries: list[Fraction] = []
@@ -239,22 +259,6 @@ class Endo:
             )
         return cls(components)
 
-    # -- equality and rendering --------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return self.n == other.n and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.n, self.components))
-
-    def __str__(self):
-        return "[" + ", ".join(str(f) for f in self.components) + "]"
-
-    def __repr__(self):
-        return f"Endo({str(self)!r})"
-
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of polynomials.
@@ -265,7 +269,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     dense rows only multiply the final minors.  Each product's sign is its
     Leibniz inversion count against the entries already taken, so that row
     order needs no correcting sign at the end.  The expansion runs on
-    Kronecker-packed integers (:class:`_Packing`): each row is multiplied
+    Kronecker-packed integers (:class:`_Packing`, whose fields ``poly._layout``
+    places) and multiplies them in ``poly._packed_product``: each row is multiplied
     by the lcm of its denominators, the coefficients of one dense slot (the
     one of largest degree bound) share one int in B-bit fields, the other
     slots' exponents pack into the dict key, and the determinant is decoded
@@ -285,9 +290,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     n = len(rows)
     if n == 0:
         raise DimensionError("empty matrix")
-    for row in rows:
-        if len(row) != n:
-            raise DimensionError("determinant needs a square matrix")
+    if any(len(row) != n for row in rows):
+        raise DimensionError("determinant needs a square matrix")
     nvars = rows[0][0].nvars
     if {entry.nvars for row in rows for entry in row} != {nvars}:
         raise DimensionError("matrix entries must share nvars")
@@ -307,14 +311,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
                 # Leibniz sign: (i, j) against each taken (r, c), the parity of
                 # [r < i] + [c < j] equals that of the inversion [r < i] != [c < j]
                 negate = (below + (cols & (bit - 1)).bit_count()) & 1
-                acc = new.setdefault(cols | bit, {})
-                get = acc.get
-                for ka, ca in entry.items():
-                    if negate:
-                        ca = -ca
-                    for kb, cb in minor.items():
-                        key = ka + kb
-                        acc[key] = get(key, 0) + ca * cb
+                terms = [(key, -c) for key, c in entry.items()] if negate else entry.items()
+                _packed_product(new.setdefault(cols | bit, {}), terms, minor.items())
         minors = {}
         for cols, acc in new.items():
             acc = {key: c for key, c in acc.items() if c}
@@ -328,14 +326,13 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
 class _Packing:
     """Kronecker packing of one matrix's entries, and its inverse.
 
-    After its row is made integral, a term c * x^e of an entry (t is the
-    last slot of e) is read as the int E = sum(e[s] << offset[s]) over all
-    slots.  The key fields sit below bit ``top`` and the dense slot's field
-    at ``top``, so the term goes to the key E mod 2^top and adds
-    c << (width * (E >> top)) to that key's value.  No slot is dense when
-    the dense degree bound exceeds _DENSE_DEGREE_PER_TERM times the
-    matrix's term count: then E >> top is 0 and values are plain
-    coefficients.
+    After its row is made integral, a term c * x^e of an entry (t is the last
+    slot of e) is read as the int E = sum(e[s] << offset[s]) over all slots,
+    with the fields of ``poly._layout``.  The key fields sit below bit ``top``
+    and the dense slot's field at ``top``, so the term goes to the key E mod
+    2^top and adds c << (width * (E >> top)) to that key's value.  No slot is
+    dense when the dense degree bound exceeds _DENSE_DEGREE_PER_TERM times the
+    matrix's term count: then E >> top is 0 and values are plain coefficients.
     """
 
     def __init__(self, rows: Sequence[Sequence[Poly]], nvars: int):
@@ -359,19 +356,8 @@ class _Packing:
         dense = max(range(nvars + 1), key=bounds.__getitem__)
         if bounds[dense] > _DENSE_DEGREE_PER_TERM * len(keys):
             dense = None
-        # (offset, mask) of each slot's field; the dense field is unbounded
-        self.fields = [(0, 0)] * (nvars + 1)
-        top = 0
-        for s, bound in enumerate(bounds):
-            if s != dense:
-                bits = bound.bit_length()
-                self.fields[s] = (top, (1 << bits) - 1)
-                top += bits
-        if dense is not None:
-            self.fields[dense] = (top, -1)
-        self.top = top
-        offsets = [offset for offset, _ in self.fields]
-        low, width = (1 << top) - 1, self.width
+        self.fields, offsets, self.top = _layout(bounds, dense)
+        low, top, width = (1 << self.top) - 1, self.top, self.width
         self.rows = []
         for row in scaled:
             packed_row = []

@@ -1,17 +1,19 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial in x1..xn, optionally involving one distinguished parameter
-named t, is stored as a dictionary mapping exponent tuples to nonzero exact
-rational coefficients: an ``int`` where the value is integral, otherwise a
-:class:`fractions.Fraction`.  Keys have length ``nvars + 1``;
-the last slot holds the exponent of t.  The zero polynomial has an empty
-term map, zero coefficients are never stored, and equality is structural,
-so canonical forms are unique.  Substitution (so composition) and setting t
-run on ints.  Scaling skips ``_substitute``: ``_regrade`` multiplies each term
-c*x^e by prod a_j^e_j and an outer factor on ints, divided once, or flips signs
-where every factor is +-1; setting t also drops t's exponent.  It serves
-products by a constant, ``with_t_set``, composition after a scaled permutation
-and the torus conjugation, whose check reads its int sums (``_is_quotient``).
+A polynomial in x1..xn, optionally involving one distinguished parameter named
+t, is stored as a dictionary mapping exponent tuples to nonzero exact rational
+coefficients: an ``int`` where the value is integral, otherwise a
+:class:`fractions.Fraction`.  Keys have length ``nvars + 1``; the last slot
+holds the exponent of t.  The zero polynomial has an empty term map, zero
+coefficients are never stored, and equality is structural (a constant also
+equals its value), so canonical forms are unique.  Products add Kronecker-packed
+keys laid out by ``_layout`` in ``_packed_product``, as ``endo.poly_det`` does.
+Substitution (so composition) and setting t run on ints.  Scaling skips
+``_substitute``: ``_regrade`` multiplies each term c*x^e by prod a_j^e_j and an
+outer factor on ints, divided once, or flips signs where every factor is +-1;
+setting t also drops t's exponent.  It serves products by a constant,
+``with_t_set``, composition after a scaled permutation and the torus
+conjugation, whose check reads its int sums (``_is_quotient``).
 
 Values are immutable by convention: no operation mutates one and no setter
 guards it; every operation is a pure function, so values can be shared freely.
@@ -61,6 +63,39 @@ def _norm_coeff(value):
     if type(value) is not int and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _slot(nvars: int, index: int) -> int:
+    """The key slot of the variable x_index, 1-based, once index is checked."""
+    if not 1 <= index <= nvars:
+        raise DimensionError(f"variable index {index} out of range 1..{nvars}")
+    return index - 1
+
+
+def _layout(bounds: Sequence[int], dense: int | None = None) -> tuple[list, list, int]:
+    """(offset, mask) of each slot's field in a Kronecker-packed key sum(e[s] << offset[s]),
+    the offsets, and the key width.  A field holds its slot's bound, so keys whose slot sums
+    stay within the bounds add without carry; the dense slot's field is unbounded, on top."""
+    fields, top = [], 0
+    for s, bound in enumerate(bounds):
+        bits = 0 if s == dense else bound.bit_length()
+        fields.append((top, (1 << bits) - 1))
+        top += bits
+    if dense is not None:
+        fields[dense] = (top, -1)
+    return fields, [offset for offset, _ in fields], top
+
+
+def _packed_product(acc: dict, a: Iterable[tuple], b: Iterable[tuple]) -> dict:
+    """acc plus the product of a and b, (packed key, coefficient) pairs under one _layout,
+    where a product's key is the sum of its factors' keys.  A sum that cancels stays in acc
+    as a zero, for the caller to drop; a test per sum would cost every product."""
+    get = acc.get
+    for ka, ca in a:
+        for kb, cb in b:
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+    return acc
 
 
 def _var_key(nvars: int, index: int) -> tuple:
@@ -166,8 +201,7 @@ class Poly:
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         """The polynomial x_index, with 1-based index."""
-        if not 1 <= index <= nvars:
-            raise DimensionError(f"variable index {index} out of range 1..{nvars}")
+        _slot(nvars, index)
         return cls._make(nvars, {_var_key(nvars, index): 1})
 
     @classmethod
@@ -224,11 +258,8 @@ class Poly:
 
     def degree_in(self, index: int):
         """Maximum exponent of x_index; NEG_INF for the zero polynomial."""
-        if not 1 <= index <= self.nvars:
-            raise DimensionError(f"variable index {index} out of range 1..{self.nvars}")
-        if not self._terms:
-            return NEG_INF
-        return max(key[index - 1] for key in self._terms)
+        i = _slot(self.nvars, index)
+        return max((key[i] for key in self._terms), default=NEG_INF)
 
     def t_degree(self):
         if not self._terms:
@@ -248,25 +279,18 @@ class Poly:
         UndefinedValuation for the zero polynomial (the valuation would be
         infinite).
         """
-        idx = self._check_indices(indices)
+        idx = [_slot(self.nvars, i) for i in sorted(set(indices))]
         if not self._terms:
             raise UndefinedValuation("the zero polynomial has no valuation")
         return min(sum(key[i] for i in idx) for key in self._terms)
 
     def homogeneous_component(self, indices: Iterable[int], weight: int) -> "Poly":
         """Sum of the terms whose summed exponent over the given variables is weight."""
-        idx = self._check_indices(indices)
+        idx = [_slot(self.nvars, i) for i in sorted(set(indices))]
         picked = {
             key: c for key, c in self._terms.items() if sum(key[i] for i in idx) == weight
         }
         return Poly._make(self.nvars, picked)
-
-    def _check_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        idx = tuple(sorted(set(indices)))
-        for i in idx:
-            if not 1 <= i <= self.nvars:
-                raise DimensionError(f"variable index {i} out of range 1..{self.nvars}")
-        return tuple(i - 1 for i in idx)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -330,32 +354,11 @@ class Poly:
                 self.nvars,
                 {tuple(map(int.__add__, ka, kb)): _norm_coeff(ca * cb) for kb, cb in b.items()},
             )
-        # every exponent of the product is at most the sum of the operands'
-        # largest exponents, so fields of that sum's width never carry
-        width = (max(map(max, a)) + max(map(max, b))).bit_length()
-        offsets = range(0, width * (self.nvars + 1), width)
-        pb = [(sum(map(lshift, kb, offsets)), cb) for kb, cb in b.items()]
-        acc: dict[int, Fraction] = {}
-        get = acc.get
-        for ka, ca in a.items():
-            ka = sum(map(lshift, ka, offsets))
-            for kb, cb in pb:
-                key = ka + kb
-                c = ca * cb
-                old = get(key)
-                if old is None:
-                    acc[key] = c
-                else:
-                    s = old + c
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-        mask = (1 << width) - 1
-        out = {
-            tuple((p >> s) & mask for s in offsets): _norm_coeff(c)
-            for p, c in acc.items()
-        }
+        # every exponent of the product is at most the sum of the operands' largest exponents
+        fields, offsets, _ = _layout([max(map(max, a)) + max(map(max, b))] * (self.nvars + 1))
+        pa, pb = ([(sum(map(lshift, k, offsets)), c) for k, c in t.items()] for t in (a, b))
+        acc = _packed_product({}, pa, pb)
+        out = {tuple((p >> s) & m for s, m in fields): _norm_coeff(c) for p, c in acc.items() if c}
         return Poly._make(self.nvars, out)
 
     __rmul__ = __mul__
@@ -377,9 +380,7 @@ class Poly:
 
     def partial_derivative(self, index: int) -> "Poly":
         """Formal partial derivative with respect to x_index (1-based)."""
-        if not 1 <= index <= self.nvars:
-            raise DimensionError(f"variable index {index} out of range 1..{self.nvars}")
-        i = index - 1
+        i = _slot(self.nvars, index)
         out: dict[tuple, Fraction] = {}
         for key, c in self._terms.items():
             e = key[i]
@@ -498,6 +499,8 @@ class Poly:
 
     def divide_t(self, power: int) -> "Poly":
         """Exact division by t**power; every term must carry at least that power."""
+        if power < 0:
+            raise ValueError(f"cannot divide by t^{power}: the power must be non-negative")
         if power == 0 or not self._terms:
             return self
         out: dict[tuple, Fraction] = {}
@@ -531,11 +534,13 @@ class Poly:
     # -- equality, hashing, rendering ---------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly) and self.nvars == other.nvars:
+            return self._terms == other._terms
+        if isinstance(other, Poly):  # only constants compare equal across variable counts
+            return self.is_constant() and other.is_constant() and self == other.constant_term()
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+            return self.is_constant() and self.constant_term() == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_constant():  # equal to its coefficient (see __eq__), so hashed alike

@@ -98,6 +98,10 @@ class TestNormalize:
     def test_affine_input_rejected(self):
         with pytest.raises(NothingToNormalize):
             normalize(Endo([x(2, 1) + x(2, 2), x(2, 2) + 1]))
+        with pytest.raises(NothingToNormalize) as info:
+            normalize(Endo([Poly.zero(2), Poly.zero(2)]))
+        assert str(info.value) == "the all-zero map cannot be normalized"
+        assert info.value.certificate == {"endo": "[0, 0]"}
 
     def test_singular_affine_part_certified(self):
         phi = Endo([x(2, 1) + x(2, 2), x(2, 1) + x(2, 2) + x(2, 1) ** 2])
@@ -207,6 +211,10 @@ class TestTorusConjugate:
         assert curves[0] == curves[1] and hash(curves[0]) == hash(curves[1])
         assert str(curves[0]) == str(curves[1])
         assert repr(curves[0]) == f"ParamEndo({str(curves[1])!r})"
+        # unequal content, and a map against a curve, compare unequal either way round
+        other_curve = ParamEndo(curves[0].components[::-1])
+        for a, b in [(forward, Endo.identity(3)), (curves[0], other_curve), (forward, curves[0])]:
+            assert a != b and b != a and not a == b and not b == a
         x1 = x(2, 1)
         assert 1 - x1 == -(x1 - 1)
         # a constant equals its coefficient, so it must hash as one too
@@ -214,6 +222,11 @@ class TestTorusConjugate:
                      (Poly.zero(2), 0)]:
             assert p == c and hash(p) == hash(c)
             assert len({p, c}) == 1 and c in {p}
+        # so every constant of one value is equal, whatever its variable count
+        assert len({Poly.const(2, 1), 1, Poly.const(3, 1)}) == 1
+        assert len({1, Poly.const(3, 1), Poly.const(2, 1)}) == 1
+        assert Poly.zero(2) == Poly.zero(3) and Poly.const(2, 1) != Poly.const(3, 2)
+        assert x(2, 1) != x(3, 1) and x(3, 1) != Poly.variable(3, 2)
 
     def test_wrong_weight_trips_overring_check(self):
         psi = Endo([x(2, 1) + x(2, 2) ** 2 + x(2, 2) ** 3, x(2, 2)])
@@ -225,8 +238,10 @@ class TestTorusConjugate:
     def test_weight_below_two_rejected(self):
         with pytest.raises(DimensionError):
             torus_conjugate(shear_xy(), 1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^torus weight must be at least 2$"):
             TorusAction(2, 1)
+        with pytest.raises(DimensionError, match="^torus action needs at least one variable$"):
+            TorusAction(0, 2)
 
     @pytest.mark.parametrize("weight", [2.0, 2.5, "2", True])
     def test_weight_must_be_an_int(self, weight):

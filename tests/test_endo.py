@@ -9,7 +9,9 @@ from math import comb
 import pytest
 
 from polyauto import Poly, selfcheck
-from polyauto.degeneration import TorusAction, degeneration_data, normalize, torus_conjugate
+from polyauto.degeneration import (
+    ParamEndo, TorusAction, degeneration_data, normalize, torus_conjugate
+)
 from polyauto.endo import CoeffVector, Endo, monomials_upto, poly_det
 from polyauto.errors import DegenerateInput, DimensionError, FiltrationError
 from polyauto.groups import AffineMap, random_affine, random_triangular
@@ -400,17 +402,21 @@ class TestTrustedResults:
     constructor's checks; the public constructor keeps every check."""
 
     @pytest.mark.parametrize(
-        "components",
+        "cls, components, message",
         [
-            [x(2, 1) + Poly.t(2), x(2, 2)],
-            [x(3, 1), x(3, 2)],
-            [x(2, 1), "x2"],
+            (Endo, [x(2, 1) + Poly.t(2), x(2, 2)], "endomorphism components must not involve t"),
+            (Endo, [x(3, 1), x(3, 2)], "component has 3 variables, expected 2 (one per component)"),
+            (Endo, [x(2, 1), "x2"], "components must be Poly values"),
+            (Endo, [], "an endomorphism needs at least one component"),
+            (ParamEndo, [], "a parametric map needs at least one component"),
+            (ParamEndo, [x(3, 1), x(3, 2)], "components must be polynomials in n variables and t"),
         ],
-        ids=["t-component", "nvars-mismatch", "not-a-poly"],
+        ids=["t-component", "nvars-mismatch", "not-a-poly", "empty", "param-empty", "param-nvars"],
     )
-    def test_public_constructor_still_checks(self, components):
-        with pytest.raises(DimensionError):
-            Endo(components)
+    def test_public_constructor_still_checks(self, cls, components, message):
+        with pytest.raises(DimensionError) as info:
+            cls(components)
+        assert str(info.value) == message
 
     def test_results_survive_revalidation(self):
         results = []
@@ -463,6 +469,20 @@ class TestJacobian:
             a = random_point(rng, 3)
             rows = [[entry.evaluate(a) for entry in row] for row in matrix]
             assert numeric_det(rows) == 1
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "empty matrix"),
+            ([[x(2, 1), x(2, 2)]], "determinant needs a square matrix"),
+            ([[x(2, 1), x(2, 2)], [x(3, 1), x(2, 2)]], "matrix entries must share nvars"),
+        ],
+        ids=["empty", "not-square", "mixed-nvars"],
+    )
+    def test_poly_det_rejects_malformed_matrices(self, rows, message):
+        with pytest.raises(DimensionError) as info:
+            poly_det(rows)
+        assert str(info.value) == message
 
     def test_poly_det_matches_numeric_det_on_random_matrices(self):
         rng = random.Random(63)
@@ -610,8 +630,16 @@ class TestCoeffVector:
             assert Endo.from_coeff_vector(sigma.coeff_vector(d)) == sigma
 
     def test_filtration_error(self):
-        with pytest.raises(FiltrationError):
+        with pytest.raises(FiltrationError) as info:
             shear2().coeff_vector(1)
+        assert str(info.value) == "degree 2 endomorphism does not lie in the degree-1 filtration"
+
+    def test_zero_map_lies_in_every_filtration(self):
+        zero = Endo([Poly.zero(2), Poly.zero(2)])
+        for d in (0, 1, 3):
+            vector = zero.coeff_vector(d)
+            assert vector.entries == (0,) * (2 * comb(2 + d, d))
+            assert Endo.from_coeff_vector(vector) == zero
 
     def test_bad_entry_count(self):
         with pytest.raises(FiltrationError):

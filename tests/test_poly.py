@@ -235,6 +235,7 @@ class TestDegrees:
     def test_zero_degree_marker(self):
         assert Poly.zero(2).total_degree() == NEG_INF
         assert Poly.zero(2).total_degree() != -1
+        assert Poly.zero(2).t_degree() == NEG_INF
 
     def test_total_degree(self):
         assert (x(2, 1) + x(2, 2) ** 3).total_degree() == 3
@@ -623,6 +624,10 @@ class TestTParameter:
         p = Poly.t(1) + Poly.const(1, 1)
         with pytest.raises(ValueError):
             p.divide_t(1)
+        # a negative power would multiply
+        with pytest.raises(ValueError) as info:
+            (x(1, 1) + Poly.t(1)).divide_t(-1)
+        assert str(info.value) == "cannot divide by t^-1: the power must be non-negative"
 
     def test_with_t_set_and_divide_t_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -658,6 +663,8 @@ class TestCanonicalForm:
     def test_constructor_merges_and_drops_zeros(self):
         p = Poly(2, {(1, 0): 1, (0, 1, 0): 0})
         assert p == x(2, 1)
+        # a t-free key and its padded form are one key, so their terms cancel
+        assert Poly(2, {(1, 0): 1, (1, 0, 0): -1}).terms() == {}
 
     def test_rendering_is_deterministic_graded_lex(self):
         f1 = nagata_first_component()
