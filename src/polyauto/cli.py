@@ -48,39 +48,41 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="print the record as one JSON object")
 
-    def verb(name, summary):
-        return sub.add_parser(name, help=summary, parents=[common])
+    def verb(name, summary, handler):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(run=handler)
+        return p
 
     def endo_operand(p):
         p.add_argument("endo", help="endomorphism text '[f1, ..., fn]', or '-' for stdin")
         return p
 
-    endo_operand(verb("info", "degree, affine/triangular flags, Jacobian"))
+    endo_operand(verb("info", "degree, affine/triangular flags, Jacobian", _cmd_info))
 
-    p = verb("compose", "compose endomorphisms left to right")
+    p = verb("compose", "compose endomorphisms left to right", _cmd_compose)
     p.add_argument("endos", nargs="+", help="two or more endomorphism texts")
 
-    p = endo_operand(verb("apply", "evaluate an endomorphism at a rational point"))
+    p = endo_operand(verb("apply", "evaluate an endomorphism at a rational point", _cmd_apply))
     p.add_argument("point", help="comma-separated rationals, e.g. 1,-2/3")
 
-    endo_operand(verb("degenerate", "normalized triangular limit witness"))
-    endo_operand(verb("witness", "full degeneration report"))
+    endo_operand(verb("degenerate", "normalized triangular limit witness", _cmd_degenerate))
+    endo_operand(verb("witness", "full degeneration report", _cmd_witness))
 
-    p = endo_operand(verb("curve", "specializations of the conjugation curve"))
+    p = endo_operand(verb("curve", "specializations of the conjugation curve", _cmd_curve))
     p.add_argument("--samples", default="1,-1,2,1/2", help="nonzero rationals, comma-separated")
 
-    endo_operand(verb("factor2", "factor a plane automorphism into generators"))
+    endo_operand(verb("factor2", "factor a plane automorphism into generators", _cmd_factor2))
 
-    p = verb("nagata", "print the Nagata automorphism")
+    p = verb("nagata", "print the Nagata automorphism", _cmd_nagata)
     p.add_argument("--inverse", action="store_true", help="print the inverse instead")
 
-    p = verb("random-tame", "sample a seeded tame word")
+    p = verb("random-tame", "sample a seeded tame word", _cmd_random_tame)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--length", type=int, default=4)
     p.add_argument("--dmax", type=int, default=3)
 
-    p = verb("selfcheck", "run the seeded verification suites")
+    p = verb("selfcheck", "run the seeded verification suites", _cmd_selfcheck)
     p.add_argument("--cases", type=int, default=100, help="cases per suite")
     p.add_argument("--shear-cases", type=int, default=25)
 
@@ -184,7 +186,7 @@ def _cmd_witness(args) -> tuple:
         f"w = {report.data.valuation}",
         f"d = {report.data.source_degree}",
         f"h = {report.data.limit_shear}",
-        f"curve: [{', '.join(str(f) for f in report.curve.components)}]",
+        f"curve: {report.curve}",
         f"witness: {report.witness}",
         "t-valuations of curve - witness: "
         + ", ".join("inf" if v == inf else str(v) for v in report.limit_report.valuations),
@@ -280,25 +282,11 @@ def _cmd_selfcheck(args) -> tuple:
     return payload, lines, 0 if payload["pass"] else 2
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "compose": _cmd_compose,
-    "apply": _cmd_apply,
-    "degenerate": _cmd_degenerate,
-    "witness": _cmd_witness,
-    "curve": _cmd_curve,
-    "factor2": _cmd_factor2,
-    "nagata": _cmd_nagata,
-    "random-tame": _cmd_random_tame,
-    "selfcheck": _cmd_selfcheck,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, lines, *code = _COMMANDS[args.verb](args)  # selfcheck adds its exit code
+        payload, lines, *code = args.run(args)  # selfcheck adds its exit code
     except _UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 1

@@ -11,6 +11,10 @@ homomorphism tests pin it.  Degree-bounded endomorphisms also embed
 linearly into coefficient vectors: an n-tuple of polynomials of degree at
 most d carries n * C(n+d, d) coefficients (C(n+d, d) monomials per
 component), listed in a frozen graded-lexicographic order.
+
+Value identity lives in ``_Value`` alone: maps, letters, words and coefficient vectors
+name their identifying attributes in ``_fields``.  It is no dataclass, since importing
+``dataclasses`` costs over 10 ms, a seventh of a light CLI verb's run.
 """
 
 from __future__ import annotations
@@ -53,7 +57,30 @@ def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return found
 
 
-class CoeffVector:
+class _Value:
+    """Equal to a value of exactly its type with equal _fields, hashed as their tuple,
+    rendered as Name(field=value, ...)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class CoeffVector(_Value):
     """Coefficient embedding of a degree-bounded endomorphism.
 
     Entries are the coefficients of the components, concatenated in
@@ -62,6 +89,7 @@ class CoeffVector:
     """
 
     __slots__ = ("n", "d", "entries")
+    _fields = ("n", "d", "entries")
 
     def __init__(self, n: int, d: int, entries: Sequence[Fraction]):
         expected = n * comb(n + d, d)
@@ -74,31 +102,16 @@ class CoeffVector:
         self.d = d
         self.entries = entries
 
-    def __eq__(self, other):
-        if not isinstance(other, CoeffVector):
-            return NotImplemented
-        return (self.n, self.d, self.entries) == (other.n, other.d, other.entries)
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.entries))
-
     def __repr__(self):
         return f"CoeffVector(n={self.n}, d={self.d}, len={len(self.entries)})"
 
 
-class _PolyTuple:
+class _PolyTuple(_Value):
     """A tuple of n polynomials in n variables, compared, hashed and rendered by its
     components; immutable like Poly by convention: no operation mutates one."""
 
     __slots__ = ("n", "components")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
+    _fields = ("components",)
 
     def __str__(self):
         return "[" + ", ".join(str(f) for f in self.components) + "]"

@@ -10,6 +10,9 @@ A word is a sequence of (generator, +1/-1) letters.  Converting a word to
 an endomorphism folds the composition from the right, so the substitution
 work always plugs a large inner map into a small outer letter; this keeps
 exact arithmetic tractable for long words.
+
+Generators and words name what identifies them in ``_fields``; their equality, hashing
+and default repr come from ``endo._Value`` alone, which says why it is no dataclass.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from . import _linalg
-from .endo import Endo
+from .endo import Endo, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
 from .poly import Poly, Scalar, _as_fraction, _norm_coeff, _var_key
 
 
-class AffineMap:
+class AffineMap(_Value):
     """An invertible map x -> Mx + v; singular matrices are rejected at construction."""
 
     __slots__ = ("n", "matrix", "translation")
+    _fields = ("matrix", "translation")
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]], translation: Sequence[Scalar]):
         rows = tuple(tuple(_as_fraction(e) for e in row) for row in matrix)
@@ -91,30 +95,20 @@ class AffineMap:
         """self after other, matching the endomorphism composition law."""
         return AffineMap.from_endo(self.to_endo().compose(other.to_endo()))
 
-    def __eq__(self, other):
-        if not isinstance(other, AffineMap):
-            return NotImplemented
-        return self.matrix == other.matrix and self.translation == other.translation
-
-    def __hash__(self):
-        return hash((self.matrix, self.translation))
-
-    def __repr__(self):
-        return f"AffineMap(matrix={self.matrix}, translation={self.translation})"
-
 
 def _component(n: int, i: int, a: Fraction, shift: Poly) -> Poly:
     # a_i*x_i + p_i as one term dict: the shift never holds the x_i key
     return Poly._make(n, {_var_key(n, i): _norm_coeff(a), **shift._terms})
 
 
-class TriangularMap:
+class TriangularMap(_Value):
     """Component i is a_i*x_i + p_i with a_i != 0 and p_i using only later variables.
 
     A shift p_i never mentions x_1..x_i, so the x_i term merges into its term dict.
     """
 
     __slots__ = ("n", "scalings", "shifts")
+    _fields = ("scalings", "shifts")
 
     def __init__(self, scalings: Sequence[Scalar], shifts: Sequence[Poly]):
         scal = tuple(_as_fraction(a) for a in scalings)
@@ -168,26 +162,16 @@ class TriangularMap:
     def compose(self, other: "TriangularMap") -> "TriangularMap":
         return TriangularMap.from_endo(self.to_endo().compose(other.to_endo()))
 
-    def __eq__(self, other):
-        if not isinstance(other, TriangularMap):
-            return NotImplemented
-        return self.scalings == other.scalings and self.shifts == other.shifts
 
-    def __hash__(self):
-        return hash((self.scalings, self.shifts))
-
-    def __repr__(self):
-        return f"TriangularMap(scalings={self.scalings}, shifts={self.shifts})"
-
-
-class OpaqueGenerator:
+class OpaqueGenerator(_Value):
     """A named automorphism adjoined to words without a generator decomposition.
 
     An inverse may be registered at construction; only then may word
     letters carry exponent -1 on this generator.
     """
 
-    __slots__ = ("name", "endo", "inverse_endo")
+    __slots__ = ("n", "name", "endo", "inverse_endo")
+    _fields = ("name", "endo", "inverse_endo")
 
     def __init__(self, name: str, endo: Endo, inverse_endo: Endo | None = None):
         if inverse_endo is not None:
@@ -195,25 +179,7 @@ class OpaqueGenerator:
                 raise ConsistencyError(
                     f"registered inverse of {name!r} does not compose to the identity"
                 )
-        self.name = name
-        self.endo = endo
-        self.inverse_endo = inverse_endo
-
-    @property
-    def n(self) -> int:
-        return self.endo.n
-
-    def __eq__(self, other):
-        if not isinstance(other, OpaqueGenerator):
-            return NotImplemented
-        return (self.name, self.endo, self.inverse_endo) == (
-            other.name,
-            other.endo,
-            other.inverse_endo,
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.endo))
+        self.n, self.name, self.endo, self.inverse_endo = endo.n, name, endo, inverse_endo
 
     def __repr__(self):
         return f"OpaqueGenerator({self.name!r})"
@@ -240,10 +206,11 @@ def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
     return mapped.to_endo()
 
 
-class Word:
+class Word(_Value):
     """A sequence of signed generator letters with exact inversion."""
 
     __slots__ = ("n", "letters")
+    _fields = ("letters",)
 
     def __init__(self, letters: Iterable[tuple[Generator, int]]):
         letters = tuple((gen, exp) for gen, exp in letters)
@@ -279,20 +246,10 @@ class Word:
         return Word([(gen, -exp) for gen, exp in reversed(self.letters)])
 
     def concat(self, other: "Word") -> "Word":
-        if self.n != other.n:
-            raise DimensionError("words on different variable counts")
         return Word(self.letters + other.letters)
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def __str__(self):
         return format_word(self)

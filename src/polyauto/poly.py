@@ -66,10 +66,12 @@ def _norm_coeff(value):
 
 
 def _slot(nvars: int, index: int) -> int:
-    """The key slot of the variable x_index, 1-based, once index is checked."""
-    if not 1 <= index <= nvars:
-        raise DimensionError(f"variable index {index} out of range 1..{nvars}")
-    return index - 1
+    """The key slot of x_index, 1-based, once index is checked: an int (not 1.0) in range."""
+    if type(index) is int and 1 <= index <= nvars:
+        return index - 1
+    if type(index) is not int:
+        raise DimensionError(f"variable index must be an int, got {index!r}")
+    raise DimensionError(f"variable index {index} out of range 1..{nvars}")
 
 
 def _layout(bounds: Sequence[int], dense: int | None = None) -> tuple[list, list, int]:
@@ -297,6 +299,12 @@ class Poly:
     def _coerce(self, other) -> "Poly | None":
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
+                # an equal constant acts as its coefficient; None has the operator of a
+                # constant self rerun from other's side, in other's variables
+                if other.is_constant():
+                    return Poly.const(self.nvars, other.constant_term())
+                if self.is_constant():
+                    return None
                 raise DimensionError(
                     f"variable counts differ: {self.nvars} vs {other.nvars}"
                 )
@@ -308,7 +316,7 @@ class Poly:
     def __add__(self, other) -> "Poly":
         q = self._coerce(other)
         if q is None:
-            return NotImplemented
+            return other + self if isinstance(other, Poly) else NotImplemented
         out = dict(self._terms)
         for key, c in q._terms.items():
             acc = out.get(key)
@@ -327,7 +335,7 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         q = self._coerce(other)
         if q is None:
-            return NotImplemented
+            return -other + self if isinstance(other, Poly) else NotImplemented
         return self + (-q)
 
     def __rsub__(self, other) -> "Poly":
@@ -339,7 +347,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         q = self._coerce(other)
         if q is None:
-            return NotImplemented
+            return other * self if isinstance(other, Poly) else NotImplemented
         a, b = self._terms, q._terms
         if len(a) > len(b):
             a, b, q = b, a, self
@@ -404,7 +412,7 @@ class Poly:
         for g in images:
             if not isinstance(g, Poly) or g.nvars != self.nvars:
                 raise DimensionError("every substitution image must share nvars")
-        if t_image is not None and t_image.nvars != self.nvars:
+        if t_image is not None and not (isinstance(t_image, Poly) and t_image.nvars == self.nvars):
             raise DimensionError("t image must share nvars")
         t_base = t_image if t_image is not None else Poly.t(self.nvars)
         return self._substitute([_table(g) for g in [*images, t_base]])
@@ -499,6 +507,8 @@ class Poly:
 
     def divide_t(self, power: int) -> "Poly":
         """Exact division by t**power; every term must carry at least that power."""
+        if type(power) is not int:
+            raise ValueError(f"cannot divide by t^{power!r}: the power must be an int")
         if power < 0:
             raise ValueError(f"cannot divide by t^{power}: the power must be non-negative")
         if power == 0 or not self._terms:

@@ -689,7 +689,13 @@ print(json.dumps([code, sorted(sys.modules)]))
         return set(modules)
 
     @pytest.mark.parametrize(
-        "argv", [("info", "[x1 + x2^2, x2]"), ("compose", "[x2, x1]", "[x1 + x2^2, x2]"), ("nagata",)]
+        "argv",
+        [
+            ("info", "[x1 + x2^2, x2]"),
+            ("compose", "[x2, x1]", "[x1 + x2^2, x2]"),
+            ("nagata",),
+            ("random-tame", "--n", "3", "--seed", "1"),
+        ],
     )
     def test_light_verbs_skip_heavy_modules(self, argv):
         loaded = self.loaded_by(*argv)

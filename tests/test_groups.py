@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from polyauto import Poly
-from polyauto.endo import Endo
+from polyauto.degeneration import ParamEndo
+from polyauto.endo import CoeffVector, Endo
 from polyauto.errors import ConsistencyError, DimensionError, MissingInverse
 from polyauto.groups import (
     AffineMap,
@@ -296,6 +297,8 @@ class TestWord:
             n = 2 + seed % 3
             word = random_tame_word(n, seed, 1 + seed % 4, 2)
             assert word.concat(word.inverse()).to_endo() == Endo.identity(n)
+        with pytest.raises(DimensionError, match="^all letters must act on the same variables$"):
+            random_tame_word(2, 0, 1, 2).concat(random_tame_word(3, 0, 1, 2))
 
     def test_opaque_generator_requires_registered_inverse(self):
         sigma = Endo([x(2, 1) + x(2, 2) ** 2, x(2, 2)])
@@ -377,3 +380,108 @@ class TestWordFormat:
         word = Word([(swap, 1), (shear, -1)])
         text = format_word(word)
         assert text == "A(0 1,1 0;0 0); B(1 1;x2^2,0)^-1"
+
+
+def value_cases():
+    """Per value type: a value, an equal one built another way, and values that each differ
+    from the first in one field: for a word, one letter's exponent or generator; an opaque
+    generator's endo changes only together with its registered inverse."""
+    x1, x2, t = x(2, 1), x(2, 2), Poly.t(2)
+    shear, unshear = Endo([x1 + x2**2, x2]), Endo([x1 - x2**2, x2])
+    affine = AffineMap([[1, 2], [0, 1]], [3, 0])
+    triangular = TriangularMap([1, 2], [x2**2, Poly.zero(2)])
+    phi = OpaqueGenerator("phi", shear, unshear)
+    return {
+        "Endo": (shear, Endo.identity(2).compose(shear), [unshear]),
+        "ParamEndo": (
+            ParamEndo([x1 + t * x2**2, x2]),
+            ParamEndo([x2**2 * t + x1, x2 + 0 * t]),
+            [ParamEndo([x1 + t**2 * x2**2, x2])],
+        ),
+        "CoeffVector": (
+            shear.coeff_vector(2),
+            CoeffVector(2, 2, [0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0]),
+            [unshear.coeff_vector(2), CoeffVector(1, 11, shear.coeff_vector(2).entries)],
+        ),
+        "AffineMap": (
+            affine,
+            AffineMap.from_endo(Endo([x1 + 2 * x2 + 3, x2])),
+            [AffineMap([[1, 2], [0, 1]], [3, 1]), AffineMap([[1, 2], [0, 2]], [3, 0])],
+        ),
+        "TriangularMap": (
+            triangular,
+            TriangularMap.from_endo(Endo([x1 + x2**2, 2 * x2])),
+            [
+                TriangularMap([1, -2], [x2**2, Poly.zero(2)]),
+                TriangularMap([1, 2], [x2, Poly.zero(2)]),
+            ],
+        ),
+        "OpaqueGenerator": (
+            phi,
+            OpaqueGenerator("phi", Endo.identity(2).compose(shear), Endo([x1 - x2**2, x2])),
+            [
+                OpaqueGenerator("phi", shear),
+                OpaqueGenerator("psi", shear, unshear),
+                OpaqueGenerator("phi", unshear, shear),
+            ],
+        ),
+        "Word": (
+            Word([(affine, 1), (triangular, -1), (phi, 1)]),
+            Word([(phi, -1), (triangular, 1), (affine, -1)]).inverse(),
+            [
+                Word([(affine, 1), (triangular, 1), (phi, 1)]),
+                Word([(affine, 1), (triangular, -1), (phi, -1)]),
+                Word([(affine.inverse(), 1), (triangular, -1), (phi, 1)]),
+            ],
+        ),
+    }
+
+
+VALUE_KINDS = [
+    "Endo", "ParamEndo", "CoeffVector", "AffineMap", "TriangularMap", "OpaqueGenerator", "Word"
+]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_equal_fields_compare_equal_and_hash_alike(self, kind):
+        a, b, _ = value_cases()[kind]
+        assert a is not b and a == b and b == a and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("kind", VALUE_KINDS)
+    def test_one_changed_field_breaks_equality(self, kind):
+        a, _, changed = value_cases()[kind]
+        for other in changed:
+            assert a != other and other != a and not a == other
+        assert len({a, *changed}) == 1 + len(changed)
+
+    def test_values_of_other_types_never_compare_equal(self):
+        x1, x2 = x(2, 1), x(2, 2)
+        identity = AffineMap.identity(2)
+        shear = Endo([x1 + x2**2, x2])
+        pairs = [
+            (identity, identity.to_endo()),
+            (identity, TriangularMap([1, 1], [Poly.zero(2)] * 2)),
+            (Word([(identity, 1)]), identity),
+            (OpaqueGenerator("id", Endo.identity(2)), Endo.identity(2)),
+            (shear, ParamEndo(shear.components)),
+            (shear.coeff_vector(2), shear.coeff_vector(2).entries),
+        ]
+        for a, b in pairs:
+            assert a != b and b != a and not a == b
+
+    def test_reprs(self):
+        cases = value_cases()
+        affine, triangular, word = (cases[k][0] for k in ("AffineMap", "TriangularMap", "Word"))
+        assert repr(affine) == (
+            "AffineMap(matrix=((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(1, 1))),"
+            " translation=(Fraction(3, 1), Fraction(0, 1)))"
+        )
+        assert repr(triangular) == (
+            "TriangularMap(scalings=(Fraction(1, 1), Fraction(2, 1)),"
+            " shifts=(Poly('x2^2', nvars=2), Poly('0', nvars=2)))"
+        )
+        assert repr(cases["OpaqueGenerator"][0]) == "OpaqueGenerator('phi')"
+        assert repr(cases["CoeffVector"][0]) == "CoeffVector(n=2, d=2, len=12)"
+        assert repr(word) == "Word('A(1 2,0 1;3 0); B(1 2;x2^2,0)^-1; phi')"

@@ -94,11 +94,31 @@ class TestRingOperations:
         assert (2 * p).coefficient((1, 0)) == 2
         assert (p / 2).constant_term() == Fraction(3, 2)
 
+    def test_constant_in_other_variables_acts_as_its_coefficient(self):
+        # Poly.const(3, 3) == 3, so it must combine with x1 as 3 does: in x1's variables
+        x1, c = x(1, 1), Poly.const(3, 3)
+        for op, expected in [
+            (lambda a, b: a + b, "x1 + 3"),
+            (lambda a, b: b + a, "x1 + 3"),
+            (lambda a, b: a - b, "x1 - 3"),
+            (lambda a, b: b - a, "-x1 + 3"),
+            (lambda a, b: a * b, "3*x1"),
+            (lambda a, b: b * a, "3*x1"),
+        ]:
+            for result in (op(x1, c), op(x1, 3)):
+                assert str(result) == expected and result.nvars == 1
+                assert_canonical(result)
+        # two constants keep the left operand's variables
+        assert (c + Poly.const(2, 1)).nvars == 3 and (Poly.zero(2) * c).nvars == 2
+        assert c - Poly.const(5, 3) == 0 and (Poly.zero(3) + x1) == x1
+
     def test_mismatched_nvars_rejected(self):
-        with pytest.raises(DimensionError):
-            x(2, 1) + x(3, 1)
-        with pytest.raises(DimensionError):
-            x(2, 1) * x(3, 1)
+        # two non-constants in different variables never combine
+        for a, b, counts in [(x(2, 1), x(3, 1), "2 vs 3"), (x(3, 1) + 1, x(2, 2), "3 vs 2")]:
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(DimensionError) as info:
+                    op(a, b)
+                assert str(info.value) == f"variable counts differ: {counts}"
 
     @pytest.mark.parametrize("exponent", ["a", None, True, 1.0, -1])
     def test_bad_exponent_rejected(self, exponent):
@@ -252,6 +272,29 @@ class TestDegrees:
         assert (x(2, 2) ** 3).degree_in(1) == 0
         assert Poly.zero(2).degree_in(1) == NEG_INF
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (0, "variable index 0 out of range 1..2"),
+            (3, "variable index 3 out of range 1..2"),
+            (1.0, "variable index must be an int, got 1.0"),
+            (True, "variable index must be an int, got True"),
+            ("1", "variable index must be an int, got '1'"),
+        ],
+    )
+    def test_variable_index_is_an_int_in_range(self, index, message):
+        p = x(2, 1)
+        for call in (
+            lambda: Poly.variable(2, index),
+            lambda: p.degree_in(index),
+            lambda: p.partial_derivative(index),
+            lambda: p.valuation_in([index]),
+            lambda: p.homogeneous_component([index], 1),
+        ):
+            with pytest.raises(DimensionError) as info:
+                call()
+            assert str(info.value) == message
+
     def test_degree_in_variable_nagata(self):
         # the D^2 term contributes x1^2*x3^3
         f1 = nagata_first_component()
@@ -364,8 +407,16 @@ class TestSubstitution:
         assert out == x(2, 2) * Poly.t(2)
 
     def test_wrong_image_count(self):
-        with pytest.raises(DimensionError):
-            x(2, 1).substitute([x(2, 1)])
+        # and images, the t image included, that are no Poly in the same variables
+        for images, t_image, message in [
+            ([x(2, 1)], None, "expected 2 substitution images, got 1"),
+            ([x(2, 1), 3], None, "every substitution image must share nvars"),
+            ([x(2, 1), x(2, 2)], 3, "t image must share nvars"),
+            ([x(2, 1), x(2, 2)], Poly.t(3), "t image must share nvars"),
+        ]:
+            with pytest.raises(DimensionError) as info:
+                x(2, 1).substitute(images, t_image=t_image)
+            assert str(info.value) == message
 
     def test_exponent_past_the_recursion_limit(self):
         # the power chain of a 400-digit exponent is over 2000 steps long
@@ -624,10 +675,17 @@ class TestTParameter:
         p = Poly.t(1) + Poly.const(1, 1)
         with pytest.raises(ValueError):
             p.divide_t(1)
-        # a negative power would multiply
-        with pytest.raises(ValueError) as info:
-            (x(1, 1) + Poly.t(1)).divide_t(-1)
-        assert str(info.value) == "cannot divide by t^-1: the power must be non-negative"
+        for power, message in [
+            # a negative power would multiply
+            (-1, "cannot divide by t^-1: the power must be non-negative"),
+            # a fractional one would build float exponents
+            (0.5, "cannot divide by t^0.5: the power must be an int"),
+            (1.0, "cannot divide by t^1.0: the power must be an int"),
+            (True, "cannot divide by t^True: the power must be an int"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                (x(1, 1) * Poly.t(1) + Poly.t(1)).divide_t(power)
+            assert str(info.value) == message
 
     def test_with_t_set_and_divide_t_match_sympy(self):
         sympy = pytest.importorskip("sympy")
