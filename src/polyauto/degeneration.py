@@ -23,13 +23,12 @@ automorphism, and the raised error carries that evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from operator import mul
 from typing import Sequence
 
-from .endo import Endo, _PolyTuple
+from .endo import Endo, _PolyTuple, _Value
 from .errors import (
     ConsistencyError,
     DegenerateInput,
@@ -51,21 +50,20 @@ def tail_indices(n: int) -> set[int]:
     return set(range(2, n + 1))
 
 
-@dataclass(frozen=True)
-class TorusAction:
+class TorusAction(_Value):
     """The diagonal parameter action (t^weight x1, t x2, ..., t xn)."""
 
-    n: int
-    weight: int
+    __slots__ = _fields = ("n", "weight")
 
-    def __post_init__(self):
+    def __init__(self, n: int, weight: int):
         # exact types first, as for letter exponents: 2.0, "2" and True are rejected
-        if type(self.n) is not int or type(self.weight) is not int:
-            raise DimensionError(f"torus n and weight must be ints: {self.n!r}, {self.weight!r}")
-        if self.n < 1:
+        if type(n) is not int or type(weight) is not int:
+            raise DimensionError(f"torus n and weight must be ints: {n!r}, {weight!r}")
+        if n < 1:
             raise DimensionError("torus action needs at least one variable")
-        if self.weight < 2:
+        if weight < 2:
             raise DimensionError("torus weight must be at least 2")
+        self.n, self.weight = n, weight
 
     @property
     def _weights(self) -> tuple[int, ...]:
@@ -120,8 +118,7 @@ class ParamEndo(_PolyTuple):
         return Endo._make(tuple([f.with_t_set(t0) for f in self.components]))
 
 
-@dataclass(frozen=True)
-class DegenerationData:
+class DegenerationData(_Value):
     """Invariants extracted from a normalized map.
 
     obstruction   -- first component restricted to x1 = 0 (nonzero)
@@ -130,28 +127,21 @@ class DegenerationData:
     source_degree -- the degree d of the normalized source
     """
 
-    obstruction: Poly
-    valuation: int
-    limit_shear: Poly
-    source_degree: int
+    __slots__ = _fields = ("obstruction", "valuation", "limit_shear", "source_degree")
 
-    def __post_init__(self):
-        if self.obstruction.is_zero:
+    def __init__(self, obstruction: Poly, valuation: int, limit_shear: Poly, source_degree: int):
+        if obstruction.is_zero:
             raise ConsistencyError("degeneration data needs a nonzero obstruction")
-        if not 2 <= self.valuation <= self.source_degree:
-            raise ConsistencyError(
-                f"valuation {self.valuation} outside [2, {self.source_degree}]"
-            )
-        n = self.obstruction.nvars
-        expected = self.obstruction.homogeneous_component(
-            tail_indices(n), self.valuation
-        )
-        if self.limit_shear != expected or self.limit_shear.is_zero:
+        if not 2 <= valuation <= source_degree:
+            raise ConsistencyError(f"valuation {valuation} outside [2, {source_degree}]")
+        expected = obstruction.homogeneous_component(tail_indices(obstruction.nvars), valuation)
+        if limit_shear != expected or limit_shear.is_zero:
             raise ConsistencyError("limit shear disagrees with the obstruction")
+        self.obstruction, self.valuation = obstruction, valuation
+        self.limit_shear, self.source_degree = limit_shear, source_degree
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
+class NormalizationRecord(_Value):
     """How an input was brought to identity affine part with a moving x1.
 
     ``affine_inverse`` is the inverse of the original affine part if one was
@@ -159,37 +149,38 @@ class NormalizationRecord:
     moving component was not the first.
     """
 
-    affine_inverse: AffineMap | None
-    transposition: tuple[int, int] | None
-    result: Endo
+    __slots__ = _fields = ("affine_inverse", "transposition", "result")
 
-    def __post_init__(self):
-        if not self.result.has_identity_affine_part():
+    def __init__(
+        self, affine_inverse: AffineMap | None, transposition: tuple[int, int] | None, result: Endo
+    ):
+        if not result.has_identity_affine_part():
             raise ConsistencyError("normalization must yield identity affine part")
-        first = self.result.components[0]
-        if first == Poly.variable(self.result.n, 1):
+        if result.components[0] == Poly.variable(result.n, 1):
             raise ConsistencyError("normalization must leave a moving first component")
+        self.affine_inverse, self.transposition, self.result = affine_inverse, transposition, result
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_Value):
     """Exact per-component t-valuations of (curve - limit); passes when all >= 1.
 
     A component whose difference is identically zero reports an infinite
     valuation (math.inf).
     """
 
-    valuations: tuple
-    passed: bool
+    __slots__ = _fields = ("valuations", "passed")
+
+    def __init__(self, valuations: tuple, passed: bool):
+        self.valuations, self.passed = valuations, passed
 
 
-@dataclass(frozen=True)
-class ClosureSample:
+class ClosureSample(_Value):
     """One specialization of the curve with its conjugation certificate."""
 
-    t0: Fraction
-    image: Endo
-    torus_map: AffineMap
+    __slots__ = _fields = ("t0", "image", "torus_map")
+
+    def __init__(self, t0: Fraction, image: Endo, torus_map: AffineMap):
+        self.t0, self.image, self.torus_map = t0, image, torus_map
 
 
 def normalize(phi: Endo) -> NormalizationRecord:
@@ -416,16 +407,22 @@ def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> lis
     return out
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Value):
     """Everything the front end needs to render one degeneration run."""
 
-    source: Endo
-    normalization: NormalizationRecord
-    data: DegenerationData
-    curve: ParamEndo
-    witness: Endo
-    limit_report: LimitReport
+    __slots__ = _fields = ("source", "normalization", "data", "curve", "witness", "limit_report")
+
+    def __init__(
+        self,
+        source: Endo,
+        normalization: NormalizationRecord,
+        data: DegenerationData,
+        curve: ParamEndo,
+        witness: Endo,
+        limit_report: LimitReport,
+    ):
+        self.source, self.normalization, self.data = source, normalization, data
+        self.curve, self.witness, self.limit_report = curve, witness, limit_report
 
 
 def witness_report(phi: Endo) -> WitnessReport:

@@ -12,9 +12,10 @@ linearly into coefficient vectors: an n-tuple of polynomials of degree at
 most d carries n * C(n+d, d) coefficients (C(n+d, d) monomials per
 component), listed in a frozen graded-lexicographic order.
 
-Value identity lives in ``_Value`` alone: maps, letters, words and coefficient vectors
-name their identifying attributes in ``_fields``.  It is no dataclass, since importing
-``dataclasses`` costs over 10 ms, a seventh of a light CLI verb's run.
+Value identity lives in ``_Value`` alone: maps, letters, words, coefficient vectors and
+the pipeline's records name their identifying attributes in ``_fields``.  No type is a
+dataclass, since importing ``dataclasses`` costs over 10 ms, a seventh of a light CLI
+verb's run.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ work always plugs a large inner map into a small outer letter; this keeps
 exact arithmetic tractable for long words.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
-and default repr come from ``endo._Value`` alone, which says why it is no dataclass.
+and default repr come from ``endo._Value`` alone, as for every value and record type, and
+``endo`` says why none is a dataclass.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ endomorphism has as many as it has components (1 plus the commas before
 the first ']'); a lone polynomial has ``nvars`` if given, else the highest
 index named (at least 1).  Any explicit index beyond that count is a
 ParseError at the token that names it, even if its terms cancel later.
-The parser then builds each component as a :class:`Poly` directly, with
+The parser then builds each monomial as an exponent key and a coefficient:
+``^k`` scales a key, a product adds keys, and an expression sums its terms
+into one dict.  Only a parenthesized factor is a :class:`Poly`, combined by
 Poly's own arithmetic.
 """
 
@@ -31,39 +33,29 @@ from fractions import Fraction
 
 from .endo import Endo
 from .errors import ParseError
-from .poly import Poly
+from .poly import Poly, _norm_coeff, _nvars, _var_key
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^(),\[\]]))"
+    r"(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^(),\[\]])|(?P<bad>\S)"
 )
 
 _ALIASES = {"x": 1, "y": 2, "z": 3}
+_INDEXED = re.compile(r"x(\d+)")
 
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN.match(text, pos)
-            if match is None:
-                rest = text[pos:]
-                if not rest.strip():
-                    break
-                at = pos + len(rest) - len(rest.lstrip())
-                raise ParseError(f"unexpected character {rest.lstrip()[0]!r}", at)
-            if match.lastgroup is not None:
-                self.items.append(
-                    (match.lastgroup, match.group(match.lastgroup), match.start(match.lastgroup))
-                )
-            pos = match.end()
+        for match in _TOKEN.finditer(text):  # whitespace matches no group and is skipped
+            kind, value, at = match.lastgroup, match.group(), match.start()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", at)
+            self.items.append((kind, value, at))
+        self.items.append(("end", "", len(text)))  # consumed only by a rule that then fails
         self.index = 0
 
     def peek(self):
-        if self.index < len(self.items):
-            return self.items[self.index]
-        return ("end", "", len(self.text))
+        return self.items[self.index]
 
     def next(self):
         item = self.peek()
@@ -99,7 +91,7 @@ class _Tokens:
 
 def _index(name: str, at: int) -> int | None:
     """The index of x<k> or of an alias; None for t and unknown names."""
-    match = re.fullmatch(r"x(\d+)", name)
+    match = _INDEXED.fullmatch(name)
     return _int(match.group(1), at) if match else _ALIASES.get(name)
 
 
@@ -129,50 +121,62 @@ class _PolyParser:
         self.nvars = nvars
         self.noun = noun
         self.t_error = t_error
+        self.constant = (0,) * (_nvars(nvars) + 1)  # the key of a constant
 
     def parse_expr(self) -> Poly:
-        kind, value, _ = self.tokens.peek()
-        negate_first = kind == "op" and value == "-"
-        if negate_first:
-            self.tokens.next()
-        result = self.parse_term()
-        if negate_first:
-            result = -result
+        """The sum of the terms, added into one dict; zeros are dropped and integral
+        Fractions demoted once, at the end."""
+        tokens, acc = self.tokens, {}
+        get = acc.get
+        kind, value, _ = tokens.peek()
+        negate = kind == "op" and value == "-"
+        if negate:
+            tokens.next()
         while True:
-            kind, value, _ = self.tokens.peek()
-            if kind == "op" and value in "+-":
-                self.tokens.next()
-                term = self.parse_term()
-                result = result - term if value == "-" else result + term
-            else:
-                return result
+            term = self.parse_term()
+            for key, c in term._terms.items() if type(term) is Poly else (term,):
+                acc[key] = get(key, 0) + (-c if negate else c)
+            kind, value, _ = tokens.peek()
+            if kind != "op" or value not in "+-":
+                return Poly._make(self.nvars, {k: _norm_coeff(c) for k, c in acc.items() if c})
+            tokens.next()
+            negate = value == "-"
 
-    def parse_term(self) -> Poly:
-        result = self.parse_factor()
+    def parse_term(self):
+        """A monomial (key, coefficient), its factors' keys added; a Poly once a factor is."""
+        term = self.parse_factor()
         while True:
             kind, value, _ = self.tokens.peek()
             if kind == "op" and value == "*":
                 self.tokens.next()
-                result = result * self.parse_factor()
-            elif kind in ("int", "name") or (kind == "op" and value == "("):
-                result = result * self.parse_factor()
+            elif kind not in ("int", "name") and (kind != "op" or value != "("):
+                return term
+            factor = self.parse_factor()
+            if type(term) is tuple and type(factor) is tuple:
+                term = (tuple(map(int.__add__, term[0], factor[0])), term[1] * factor[1])
             else:
-                return result
+                term = self._poly(term) * self._poly(factor)
 
-    def parse_factor(self) -> Poly:
-        result = self.parse_primary()
+    def parse_factor(self):
+        """A primary raised by each ^k: a monomial's key scaled by k, a Poly by Poly powers."""
+        factor = self.parse_primary()
         while True:
             kind, value, _ = self.tokens.peek()
-            if kind == "op" and value == "^":
-                self.tokens.next()
-                kind, value, at = self.tokens.next()
-                if kind != "int":
-                    raise ParseError("exponent must be a natural number", at)
-                result = result ** _int(value, at)
+            if kind != "op" or value != "^":
+                return factor
+            self.tokens.next()
+            kind, value, at = self.tokens.next()
+            if kind != "int":
+                raise ParseError("exponent must be a natural number", at)
+            e = _int(value, at)
+            if type(factor) is Poly:
+                factor = factor**e
             else:
-                return result
+                key, c = factor
+                factor = (tuple([k * e for k in key]), c**e)
 
-    def parse_primary(self) -> Poly:
+    def parse_primary(self):
+        """A coefficient or a variable as a monomial (key, coefficient); '(' expr ')' as a Poly."""
         kind, value, at = self.tokens.next()
         if kind == "int":
             numerator = _int(value, at)
@@ -182,21 +186,25 @@ class _PolyParser:
                 dk, dv, dat = self.tokens.next()
                 if dk != "int" or _int(dv, dat) == 0:
                     raise ParseError("denominator must be a positive integer", dat)
-                return Poly.const(self.nvars, Fraction(numerator, _int(dv, dat)))
-            return Poly.const(self.nvars, numerator)
+                return self.constant, _norm_coeff(Fraction(numerator, _int(dv, dat)))
+            return self.constant, numerator
         if kind == "name":
-            return self._variable(value, at)
+            return self._variable(value, at), 1
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.tokens.expect_op(")")
             return inner
         raise ParseError(f"expected a coefficient, variable, or '(', found {value or 'end of input'!r}", at)
 
-    def _variable(self, name: str, at: int) -> Poly:
+    def _poly(self, term) -> Poly:
+        return term if type(term) is Poly else Poly(self.nvars, dict([term]))
+
+    def _variable(self, name: str, at: int) -> tuple:
+        """The exponent key of x<k>, an alias or t, once the name is checked."""
         if name == "t":
             if self.t_error:
                 raise ParseError(self.t_error, at)
-            return Poly.t(self.nvars)
+            return self.constant[:-1] + (1,)
         index = _index(name, at)
         if index is None:
             raise ParseError(f"unknown variable {name!r}", at)
@@ -208,7 +216,7 @@ class _PolyParser:
             raise ParseError(
                 f"variable index {index} exceeds the {self.noun} count {self.nvars}", at
             )
-        return Poly.variable(self.nvars, index)
+        return _var_key(self.nvars, index)
 
 
 def parse_poly(text: str, nvars: int | None = None, allow_t: bool = True) -> Poly:

@@ -22,10 +22,9 @@ Jacobian conjecture.  The checks stay, because they are the sound decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .endo import Endo
+from .endo import Endo, _Value
 from .errors import DegenerateInput, DimensionError, NotAnAutomorphism
 from .groups import AffineMap, Generator, TriangularMap, Word, generator_to_endo
 from .poly import NEG_INF, Poly
@@ -47,27 +46,28 @@ def _proportionality(p: Poly, q: Poly) -> Fraction | None:
     return c if p == c * q else None
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Value):
     """One line of the reduction log."""
 
-    before: tuple
-    after: tuple
-    letter: str
+    __slots__ = _fields = ("before", "after", "letter")
+
+    def __init__(self, before: tuple, after: tuple, letter: str):
+        self.before, self.after, self.letter = before, after, letter
 
     def __str__(self):
         return f"{self.before} -> {self.after} via {self.letter}"
 
 
-@dataclass(frozen=True)
-class RejectionCertificate:
+class RejectionCertificate(_Value):
     """Why the reduction loop stopped without reaching an affine map."""
 
-    reason: str
-    stage: int
-    multidegree: tuple
-    detail: str
-    jacobian: Poly | None = None
+    __slots__ = _fields = ("reason", "stage", "multidegree", "detail", "jacobian")
+
+    def __init__(
+        self, reason: str, stage: int, multidegree: tuple, detail: str, jacobian: Poly | None = None
+    ):
+        self.reason, self.stage, self.multidegree = reason, stage, multidegree
+        self.detail, self.jacobian = detail, jacobian
 
     def as_dict(self) -> dict:
         payload = {
@@ -81,22 +81,20 @@ class RejectionCertificate:
         return payload
 
 
-@dataclass(frozen=True)
-class PlaneFactorization:
+class PlaneFactorization(_Value):
     """A word over affine/triangular letters recomposing exactly to the source."""
 
-    word: Word
-    source: Endo
-    steps: tuple[ReductionStep, ...] = ()
+    __slots__ = _fields = ("word", "source", "steps")
 
-    def __post_init__(self):
-        if self.word.to_endo() != self.source:
+    def __init__(self, word: Word, source: Endo, steps: tuple[ReductionStep, ...] = ()):
+        if word.to_endo() != source:
             raise DegenerateInput("factorization word does not recompose to the source")
-        types = [type(gen) for gen, _ in self.word.letters]
+        types = [type(gen) for gen, _ in word.letters]
         if not {AffineMap, TriangularMap}.issuperset(types):
             raise DegenerateInput("plane factorizations use only affine/triangular letters")
         if any(a is b for a, b in zip(types, types[1:])):
             raise DegenerateInput("letters must alternate between affine and triangular")
+        self.word, self.source, self.steps = word, source, steps
 
 
 def _merge_letters(letters: list[tuple[Generator, int]]) -> list[tuple[Generator, int]]:

@@ -65,6 +65,15 @@ def _norm_coeff(value):
     return value
 
 
+def _nvars(nvars: int) -> int:
+    """nvars once checked: an int (not 2.0 or True), at least 0."""
+    if type(nvars) is not int:
+        raise DimensionError(f"nvars must be an int, got {nvars!r}")
+    if nvars < 0:
+        raise DimensionError("nvars must be non-negative")
+    return nvars
+
+
 def _slot(nvars: int, index: int) -> int:
     """The key slot of x_index, 1-based, once index is checked: an int (not 1.0) in range."""
     if type(index) is int and 1 <= index <= nvars:
@@ -154,8 +163,7 @@ class Poly:
     __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
-        if nvars < 0:
-            raise DimensionError("nvars must be non-negative")
+        _nvars(nvars)
         clean: dict[tuple, Fraction] = {}
         if terms:
             for key, coeff in terms.items():
@@ -191,25 +199,23 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls._make(nvars, {})
+        return cls._make(_nvars(nvars), {})
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "Poly":
         c = value if type(value) is int else _norm_coeff(_as_fraction(value))
-        if not c:
-            return cls.zero(nvars)
-        return cls._make(nvars, {(0,) * (nvars + 1): c})
+        return cls._make(_nvars(nvars), {(0,) * (nvars + 1): c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         """The polynomial x_index, with 1-based index."""
-        _slot(nvars, index)
+        _slot(_nvars(nvars), index)
         return cls._make(nvars, {_var_key(nvars, index): 1})
 
     @classmethod
     def t(cls, nvars: int) -> "Poly":
         """The parameter t as a polynomial."""
-        key = (0,) * nvars + (1,)
+        key = (0,) * _nvars(nvars) + (1,)
         return cls._make(nvars, {key: 1})
 
     @classmethod
@@ -281,14 +287,14 @@ class Poly:
         UndefinedValuation for the zero polynomial (the valuation would be
         infinite).
         """
-        idx = [_slot(self.nvars, i) for i in sorted(set(indices))]
+        idx = sorted({_slot(self.nvars, i) for i in indices})
         if not self._terms:
             raise UndefinedValuation("the zero polynomial has no valuation")
         return min(sum(key[i] for i in idx) for key in self._terms)
 
     def homogeneous_component(self, indices: Iterable[int], weight: int) -> "Poly":
         """Sum of the terms whose summed exponent over the given variables is weight."""
-        idx = [_slot(self.nvars, i) for i in sorted(set(indices))]
+        idx = sorted({_slot(self.nvars, i) for i in indices})
         picked = {
             key: c for key, c in self._terms.items() if sum(key[i] for i in idx) == weight
         }
@@ -380,7 +386,7 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("polynomial powers need a non-negative integer exponent")
         return _power({0: Poly.const(self.nvars, 1), 1: self}, exponent)
 

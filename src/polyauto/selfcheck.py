@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from .degeneration import closure_witness, degenerate, witness_report
-from .endo import Endo
+from .endo import Endo, _Value
 from .errors import AlgebraError, DegenerateInput, NotAnAutomorphism
 from .groups import nagata, random_tame_word
 from .planefactor import factor_plane
@@ -39,14 +38,15 @@ SHEAR_SUITE_BASE = 90_000
 TERM_CAP = 800
 
 
-@dataclass
-class SuiteResult:
-    """Outcome of one suite: failures carry a short per-case description."""
+class SuiteResult(_Value):
+    """Outcome of one suite: failures carry a short per-case description.  ``_run`` adds
+    to its failures list and seconds, and the list leaves it unhashable."""
 
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
-    seconds: float = 0.0
+    __slots__ = _fields = ("name", "cases", "failures", "seconds")
+
+    def __init__(self, name: str, cases: int, failures: list | None = None, seconds: float = 0.0):
+        self.name, self.cases, self.seconds = name, cases, seconds
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

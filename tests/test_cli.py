@@ -704,6 +704,20 @@ print(json.dumps([code, sorted(sys.modules)]))
         if argv[0] == "info":
             assert "polyauto.groups" not in loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curve", "[x1 + x2^2, x2]"),
+            ("witness", "[x1 + x2^2, x2]"),
+            ("factor2", "[x1 + x2^2, x2]"),
+        ],
+    )
+    def test_pipeline_verbs_skip_dataclasses(self, argv):
+        # their records are endo._Value types, like every map, letter and word
+        loaded = self.loaded_by(*argv)
+        assert {"polyauto.degeneration", "polyauto.planefactor"} & loaded
+        assert "dataclasses" not in loaded
+
 
 class TestHashSeedBytes:
     """stdout is byte-deterministic: no term-dict insertion order may reach it, so each

@@ -5,7 +5,6 @@ module was written: substituting (t^3 x1, t x2, t x3) into the components,
 dividing by t^3 (resp. t), and reading off the t = 0 limit.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import inf
@@ -21,6 +20,7 @@ from polyauto.degeneration import (
     NormalizationRecord,
     ParamEndo,
     TorusAction,
+    WitnessReport,
     closure_witness,
     degenerate,
     degeneration_data,
@@ -504,7 +504,11 @@ class TestClosureWitness:
         terms[key[:-1] + (key[-1] + 1,)] = terms.pop(key)  # one t-exponent off by one
         curve = ParamEndo([Poly(3, terms), *report.curve.components[1:]])
         with pytest.raises(ConsistencyError, match="not the expected conjugate"):
-            closure_witness(dataclasses.replace(report, curve=curve), [t0])
+            corrupted = WitnessReport(
+                report.source, report.normalization, report.data, curve, report.witness,
+                report.limit_report,
+            )
+            closure_witness(corrupted, [t0])
 
 
 class TestNumeratorCheck:

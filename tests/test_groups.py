@@ -1,12 +1,23 @@
 """Tests for affine/triangular generators, words, samplers, and the gallery."""
 
+import inspect
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
 from polyauto import Poly
-from polyauto.degeneration import ParamEndo
+from polyauto.degeneration import (
+    ClosureSample,
+    DegenerationData,
+    LimitReport,
+    NormalizationRecord,
+    ParamEndo,
+    TorusAction,
+    WitnessReport,
+    witness_report,
+)
 from polyauto.endo import CoeffVector, Endo
 from polyauto.errors import ConsistencyError, DimensionError, MissingInverse
 from polyauto.groups import (
@@ -23,6 +34,13 @@ from polyauto.groups import (
     random_tame_word,
     random_triangular,
 )
+from polyauto.planefactor import (
+    PlaneFactorization,
+    ReductionStep,
+    RejectionCertificate,
+    factor_plane,
+)
+from polyauto.selfcheck import SuiteResult
 from test_poly import assert_canonical
 
 
@@ -391,6 +409,8 @@ def value_cases():
     affine = AffineMap([[1, 2], [0, 1]], [3, 0])
     triangular = TriangularMap([1, 2], [x2**2, Poly.zero(2)])
     phi = OpaqueGenerator("phi", shear, unshear)
+    report = witness_report(nagata()[0])
+    other = witness_report(Endo([x(3, 1) + x(3, 2) ** 2, x(3, 2), x(3, 3)]))
     return {
         "Endo": (shear, Endo.identity(2).compose(shear), [unshear]),
         "ParamEndo": (
@@ -434,11 +454,51 @@ def value_cases():
                 Word([(affine.inverse(), 1), (triangular, -1), (phi, 1)]),
             ],
         ),
+        "TorusAction": (
+            TorusAction(3, 2), TorusAction(3, 2), [TorusAction(3, 3), TorusAction(2, 2)]
+        ),
+        "RejectionCertificate": (
+            RejectionCertificate("jacobian", 0, (2, 2), "d", x1),
+            RejectionCertificate(
+                reason="jacobian", stage=0, multidegree=(2, 2), detail="d", jacobian=x1
+            ),
+            [
+                RejectionCertificate("divisibility", 0, (2, 2), "d", x1),
+                RejectionCertificate("jacobian", 1, (2, 2), "d", x1),
+                RejectionCertificate("jacobian", 0, (2, 3), "d", x1),
+                RejectionCertificate("jacobian", 0, (2, 2), "e", x1),
+                RejectionCertificate("jacobian", 0, (2, 2), "d"),
+            ],
+        ),
+        "PlaneFactorization": (
+            factor_plane(shear),
+            factor_plane(Endo.identity(2).compose(shear)),
+            [factor_plane(unshear), PlaneFactorization(factor_plane(shear).word, shear)],
+        ),
+        "WitnessReport": (report, witness_report(nagata()[0]), one_field_from(report, other)),
     }
 
 
+REPORT_FIELDS = ("source", "normalization", "data", "curve", "witness", "limit_report")
+
+
+def one_field_from(report, other):
+    """Copies of a WitnessReport, each with one field taken from other."""
+    fields = [getattr(report, name) for name in REPORT_FIELDS]
+    return [
+        WitnessReport(*fields[:i], getattr(other, name), *fields[i + 1 :])
+        for i, name in enumerate(REPORT_FIELDS)
+    ]
+
+
 VALUE_KINDS = [
-    "Endo", "ParamEndo", "CoeffVector", "AffineMap", "TriangularMap", "OpaqueGenerator", "Word"
+    "Endo", "ParamEndo", "CoeffVector", "AffineMap", "TriangularMap", "OpaqueGenerator", "Word",
+    "TorusAction", "RejectionCertificate", "PlaneFactorization", "WitnessReport",
+]
+
+RECORDS = [
+    TorusAction, DegenerationData, NormalizationRecord, LimitReport, ClosureSample, WitnessReport,
+    ReductionStep, RejectionCertificate, PlaneFactorization, SuiteResult,
 ]
 
 
@@ -485,3 +545,17 @@ class TestValueSemantics:
         assert repr(cases["OpaqueGenerator"][0]) == "OpaqueGenerator('phi')"
         assert repr(cases["CoeffVector"][0]) == "CoeffVector(n=2, d=2, len=12)"
         assert repr(word) == "Word('A(1 2,0 1;3 0); B(1 2;x2^2,0)^-1; phi')"
+
+    def test_record_reprs_name_every_field(self):
+        assert repr(TorusAction(3, 2)) == "TorusAction(n=3, weight=2)"
+        assert repr(LimitReport((1, inf), True)) == "LimitReport(valuations=(1, inf), passed=True)"
+        assert repr(ReductionStep((3, 1), (1, 1), "mix g -= 2*f")) == (
+            "ReductionStep(before=(3, 1), after=(1, 1), letter='mix g -= 2*f')"
+        )
+        assert repr(SuiteResult("monoid-laws", 3)) == (
+            "SuiteResult(name='monoid-laws', cases=3, failures=[], seconds=0.0)"
+        )
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+    def test_every_constructor_argument_identifies_a_record(self, record):
+        assert tuple(inspect.signature(record).parameters) == record._fields

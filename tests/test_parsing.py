@@ -10,9 +10,11 @@ import pytest
 
 from polyauto import Poly
 from polyauto.endo import Endo
-from polyauto.errors import ParseError
+from polyauto.errors import DimensionError, ParseError
+import polyauto.parsing
 from polyauto.groups import nagata, random_tame_word
 from polyauto.parsing import (
+    _PolyParser,
     parse_endo,
     parse_poly,
     parse_rational,
@@ -169,6 +171,12 @@ class TestParsePoly:
         assert parse_poly("y").nvars == 2
         assert parse_poly("7").nvars == 1
 
+    @pytest.mark.parametrize("nvars", [2.0, True])
+    def test_nvars_is_an_int(self, nvars):
+        with pytest.raises(DimensionError) as info:
+            parse_poly("x1 + 1", nvars)
+        assert str(info.value) == f"nvars must be an int, got {nvars!r}"
+
     def test_index_beyond_nvars_fails_at_its_token(self):
         with pytest.raises(ParseError) as info:
             parse_poly("x1 + x5 - x5", nvars=2)
@@ -297,6 +305,153 @@ class TestParseEndo:
             assert parse_endo(str(sigma)) == sigma
 
         round_trip()
+
+
+class _ArithmeticParser(_PolyParser):
+    """The reference for the key-building parser, on valid texts: every primary is a Poly,
+    and sums, products and powers are Poly arithmetic.  Names are checked as in the parser."""
+
+    def parse_expr(self):
+        result, sign = Poly.zero(self.nvars), "+"
+        if self.tokens.peek()[1] == "-":
+            sign = self.tokens.next()[1]
+        while True:
+            term = self.parse_term()
+            result = result - term if sign == "-" else result + term
+            kind, sign, _ = self.tokens.peek()
+            if kind != "op" or sign not in "+-":
+                return result
+            self.tokens.next()
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while True:
+            kind, value, _ = self.tokens.peek()
+            if value == "*":
+                self.tokens.next()
+            elif kind not in ("int", "name") and value != "(":
+                return result
+            result = result * self.parse_factor()
+
+    def parse_factor(self):
+        result = self.parse_primary()
+        while self.tokens.peek()[1] == "^":
+            self.tokens.next()
+            result = result ** int(self.tokens.next()[1])
+        return result
+
+    def parse_primary(self):
+        kind, value, at = self.tokens.next()
+        if kind == "name":
+            return Poly(self.nvars, {self._variable(value, at): 1})
+        if value == "(":
+            inner = self.parse_expr()
+            self.tokens.next()
+            return inner
+        if self.tokens.peek()[1] == "/":
+            self.tokens.next()
+            return Poly.const(self.nvars, Fraction(int(value), int(self.tokens.next()[1])))
+        return Poly.const(self.nvars, int(value))
+
+
+def exact(p):
+    """A Poly's variable count and terms, each coefficient with its type: an integral
+    coefficient must be an int, as Poly keeps it."""
+    return p.nvars, {k: (type(c), c) for k, c in p.terms().items()}
+
+
+class TestKeyBuildingParser:
+    """Monomials are built as (key, coefficient) and summed into one dict; the result must
+    be exactly the Poly that Poly arithmetic builds, and every error must keep its text."""
+
+    HAND = [
+        "[(x1+x2)^3*x3, x2, x3]",
+        "[x1 - x1, x2]",
+        "[x1 - x1 + x2 - 3/4*x2^2, x2]",
+        "[3/4*x2^2, x1]",
+        "[4/2*x1 + 2/4*x2 - 1/2*x2, x2]",
+        "[x1*x1*2*x2 3/4 x2^0, x2]",
+        "[x1^2^3 + 0*x2 + 0^0, x2]",
+        "[-x1^2*(x2 + 1) + ((x1) + 2*(x2 - 1/3))^2*(x1), x2]",
+        "[x1^9999999999999999999, x2]",
+        "[x - 2*y*(y^2+x*z) - z*(y^2+x*z)^2, y + z*(y^2+x*z), z]",
+    ]
+    POLYS = ["t*x1 + t^2 - 2*t", "3/4*t^2*x2^2 - (t + x1)^2 + t*t", "-(t) + 1/3*t", "0"]
+
+    def both(self, monkeypatch, parse, *args):
+        new = parse(*args)
+        with monkeypatch.context() as patched:
+            patched.setattr(polyauto.parsing, "_PolyParser", _ArithmeticParser)
+            old = parse(*args)
+        return new, old
+
+    def test_tame_word_texts(self, monkeypatch):
+        for seed in range(24):
+            text = str(random_tame_word(2 + seed % 3, 500 + seed, 1 + seed % 5, 3).to_endo())
+            new, old = self.both(monkeypatch, parse_endo, text)
+            assert [exact(f) for f in new.components] == [exact(f) for f in old.components]
+
+    @pytest.mark.parametrize("text", HAND)
+    def test_hand_endo_texts(self, monkeypatch, text):
+        new, old = self.both(monkeypatch, parse_endo, text)
+        assert [exact(f) for f in new.components] == [exact(f) for f in old.components]
+
+    @pytest.mark.parametrize("text", POLYS)
+    def test_hand_poly_texts_with_t(self, monkeypatch, text):
+        new, old = self.both(monkeypatch, parse_poly, text, 2)
+        assert exact(new) == exact(old)
+
+    def test_cancelled_and_huge_terms(self):
+        assert parse_endo("[x1 - x1, x2]").components[0].is_zero
+        big = parse_endo("[x1^9999999999999999999, x2]").components[0]
+        assert big.terms() == {(9999999999999999999, 0, 0): 1}
+        assert exact(parse_poly("3/4*x2^2")) == (2, {(0, 2, 0): (Fraction, Fraction(3, 4))})
+        # integral sums and products are ints; Poly's own + would leave 1/2*x1 + 1/2*x1
+        # a Fraction(1, 1), so these have no arithmetic oracle
+        assert exact(parse_poly("1/2*x1 + 1/2*x1 + 2*3/4*x2*2/3")) == (
+            2, {(1, 0, 0): (int, 1), (0, 1, 0): (int, 1)}
+        )
+
+    # every message and position as the parser printed them before it built keys
+    ERRORS = [
+        ("x1 + @", 1, "unexpected character '@' (at position 5)"),
+        ("(x1 + 1", 1, "expected ')', found 'end of input' (at position 7)"),
+        ("x1/2", 1, "unexpected trailing input '/' (at position 2)"),
+        ("1/0", 1, "denominator must be a positive integer (at position 2)"),
+        ("x1 + x5 - x5", 2, "variable index 5 exceeds the variable count 2 (at position 5)"),
+        ("x1 +", None, "expected a coefficient, variable, or '(', found 'end of input' (at position 4)"),
+        ("3 x1 ^ -2", None, "exponent must be a natural number (at position 7)"),
+        ("[x1 + x3 - x3, x2]", 0, "variable index 3 exceeds the component count 2 (at position 6)"),
+        ("[x99999999]", 0, "variable index 99999999 exceeds the component count 1 (at position 1)"),
+        ("[x1^x2, x2]", 0, "exponent must be a natural number (at position 4)"),
+        ("[a, x2]", 0, "unknown variable 'a' (at position 1)"),
+        ("[x0, x2]", 0, "variable indices start at 1 (at position 1)"),
+        ("[x1, x2", 0, "expected ',' or ']', found 'end of input' (at position 7)"),
+        ("[y, x2, x3, x4]", 0,
+            "aliases x, y, z are only allowed with at most 3 components (at position 1)"),
+        ("[x1 + t - t, x2]", 0, "endomorphism components must not involve t (at position 6)"),
+        ("[x1, x2] extra", 0, "unexpected trailing input 'extra' (at position 9)"),
+        ("[x1 + , x2]", 0, "expected a coefficient, variable, or '(', found ',' (at position 6)"),
+        ("[x1 + * x2]", 0, "expected a coefficient, variable, or '(', found '*' (at position 6)"),
+        ("[x1 + \u00e9, x2]", 0, "unexpected character '\u00e9' (at position 6)"),
+        ("[x1 + x2\u00b2, x2]", 0, "unknown variable 'x2\u00b2' (at position 6)"),
+        ("[]", 0, "expected a coefficient, variable, or '(', found ']' (at position 1)"),
+        ("[(x1 + x2], x2]", 0, "variable index 2 exceeds the component count 1 (at position 7)"),
+        ("x1, x2]", 0, "expected '[', found 'x1' (at position 0)"),
+        ("[x1 + 2/x2, x2]", 0, "denominator must be a positive integer (at position 8)"),
+        ("[x1 (x2 - 1) ^, x2]", 0, "exponent must be a natural number (at position 14)"),
+    ]
+
+    @pytest.mark.parametrize("text, nvars, message", ERRORS, ids=[e[0] for e in ERRORS])
+    def test_error_messages_and_positions(self, text, nvars, message):
+        with pytest.raises(ParseError) as info:
+            parse_endo(text) if nvars == 0 else parse_poly(text, nvars)
+        assert str(info.value) == message
+
+    def test_t_error_message(self):
+        with pytest.raises(ParseError) as info:
+            parse_poly("x1 + t", allow_t=False)
+        assert str(info.value) == "the parameter t is not allowed here (at position 5)"
 
 
 class TestParseRational:

@@ -120,6 +120,24 @@ class TestRingOperations:
                     op(a, b)
                 assert str(info.value) == f"variable counts differ: {counts}"
 
+    @pytest.mark.parametrize("nvars", [2.0, True, "2", -1])
+    def test_nvars_is_a_non_negative_int(self, nvars):
+        # 2.0 and True are rejected as for variable indices, not stored as a width
+        message = f"nvars must be an int, got {nvars!r}"
+        if nvars == -1:
+            message = "nvars must be non-negative"
+        const, variable = lambda n: Poly.const(n, 1), lambda n: Poly.variable(n, 1)
+        for make in (Poly, Poly.zero, Poly.t, const, variable):
+            with pytest.raises(DimensionError) as info:
+                make(nvars)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("exponent", [True, 1.0, Fraction(1), -1])
+    def test_power_takes_a_non_negative_int(self, exponent):
+        with pytest.raises(ValueError) as info:
+            x(2, 1) ** exponent
+        assert str(info.value) == "polynomial powers need a non-negative integer exponent"
+
     @pytest.mark.parametrize("exponent", ["a", None, True, 1.0, -1])
     def test_bad_exponent_rejected(self, exponent):
         # the type is tested before the sign: no str/None comparison, no bool key
@@ -294,6 +312,13 @@ class TestDegrees:
             with pytest.raises(DimensionError) as info:
                 call()
             assert str(info.value) == message
+
+    def test_index_lists_are_checked_before_they_are_sorted(self):
+        p = x(2, 1)
+        for call in (lambda: p.valuation_in([1, "a"]), lambda: p.homogeneous_component([1, "a"], 1)):
+            with pytest.raises(DimensionError) as info:
+                call()
+            assert str(info.value) == "variable index must be an int, got 'a'"
 
     def test_degree_in_variable_nagata(self):
         # the D^2 term contributes x1^2*x3^3

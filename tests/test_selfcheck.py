@@ -7,7 +7,6 @@ Nagata inversion) and asserts that the suite which used to check that value
 itself still fails, now as ``raised <Error>: ...``.
 """
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ import polyauto.degeneration
 import polyauto.planefactor
 import polyauto.selfcheck
 from polyauto.degeneration import (
+    DegenerationData,
     ParamEndo,
     closure_witness,
     triangular_witness,
@@ -131,7 +131,9 @@ class TestFaultsStillFail:
 
         def one_degree_high(psi):
             data = data_of(psi)
-            return dataclasses.replace(data, source_degree=data.source_degree + 1)
+            return DegenerationData(
+                data.obstruction, data.valuation, data.limit_shear, data.source_degree + 1
+            )
 
         monkeypatch.setattr(polyauto.degeneration, "degeneration_data", one_degree_high)
         pipeline, rigidity = degeneration_suites(2)
@@ -195,3 +197,12 @@ class TestSuiteErrorPolicy:
         suite = SuiteResult("monoid-laws", 3, ["case 1: associativity"], seconds=2.5)
         assert suite.line() == "FAIL monoid-laws: 2/3 cases"
         assert SuiteResult("monoid-laws", 3).line() == "PASS monoid-laws: 3/3 cases"
+
+    def test_suite_results_compare_by_value_and_stay_unhashable(self):
+        # _run adds to a result's failures list and seconds, so no result may hash
+        suite = SuiteResult("monoid-laws", 3)
+        assert suite == SuiteResult("monoid-laws", 3, [], 0.0)
+        assert suite != SuiteResult("monoid-laws", 3, ["case 1: associativity"])
+        assert suite.failures is not SuiteResult("monoid-laws", 3).failures
+        with pytest.raises(TypeError):
+            hash(suite)
