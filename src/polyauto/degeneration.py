@@ -42,7 +42,7 @@ from .errors import (
 )
 from ._linalg import invert_affine
 from .groups import AffineMap
-from .poly import Poly, Scalar, _as_fraction, _is_quotient
+from .poly import Poly, Scalar, _as_fraction
 
 
 def tail_indices(n: int) -> set[int]:
@@ -80,19 +80,15 @@ class TorusAction(_Value):
         """The invertible diagonal map at a nonzero parameter value."""
         return AffineMap.diagonal(self._scalings(t0))
 
-    def _regraded(self, psi: Endo, t0: Scalar, sums=False) -> list:
-        """Component i of psi with each x_j times s_j (t0^weight, then t0), over s_i, by one
-        Poly._regrade of its keys; with sums, a +-1 regrade's Poly or an int one's (acc, total)."""
+    def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
+        """at(t0)^-1 after psi after at(t0), with no map built: component i of psi with each
+        x_j times s_j (t0^weight, then t0), over s_i, by one Poly._regrade of its keys."""
         if psi.n != self.n:
             raise DimensionError(f"torus on {self.n} variables, map on {psi.n}")
         scalings = self._scalings(t0)
         moved = [(j, *s.as_integer_ratio()) for j, s in enumerate(scalings) if s != 1]
         over = [(1 / s).as_integer_ratio() for s in scalings]
-        return [f._regrade(moved, o, sums=sums) for f, o in zip(psi.components, over)]
-
-    def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
-        """at(t0)^-1 after psi after at(t0), with no map built (see _regraded)."""
-        return Endo._make(tuple(self._regraded(psi, t0)))
+        return Endo._make(tuple([f._regrade(moved, o) for f, o in zip(psi.components, over)]))
 
 
 class ParamEndo(_PolyTuple):
@@ -260,7 +256,8 @@ def degeneration_data(psi: Endo) -> DegenerationData:
     degree = _check_normalized(psi)
     n = psi.n
     # the restriction to x1 = 0 keeps the terms free of x1
-    obstruction = Poly._make(n, {k: c for k, c in psi.components[0] if k[0] == 0})
+    first = psi.components[0]
+    obstruction = Poly._make(n, {k: c for k, c in first._terms.items() if k[0] == 0}, first._den)
     if obstruction.is_zero:
         raise NotACoordinate(
             "first component vanishes at x1 = 0, so it is divisible by x1 "
@@ -290,7 +287,9 @@ def torus_conjugate(psi: Endo, weight: int) -> ParamEndo:
     components = []
     for index, (f, required) in enumerate(zip(psi.components, weights), start=1):
         # the x-exponents are unchanged, so the keys stay distinct and canonical
-        terms = {k[:-1] + (k[-1] + sum(map(mul, weights, k)) - required,): c for k, c in f}
+        terms = {
+            k[:-1] + (k[-1] + sum(map(mul, weights, k)) - required,): c for k, c in f._terms.items()
+        }
         residual = {k[:-1] + (k[-1] + required,): c for k, c in terms.items() if k[-1] < 0}
         if residual:
             raise OverringViolation(
@@ -299,10 +298,10 @@ def torus_conjugate(psi: Endo, weight: int) -> ParamEndo:
                 {
                     "component": index,
                     "required_power": required,
-                    "residual": str(Poly._make(n, residual)),
+                    "residual": str(Poly._make(n, residual, f._den)),
                 },
             )
-        components.append(Poly._make(n, terms))
+        components.append(Poly._make(n, terms, f._den))
     curve = ParamEndo(components)
     if curve.specialize(1) != psi:
         raise ConsistencyError("specializing the curve at t = 1 must return the source")
@@ -372,8 +371,8 @@ def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> lis
     are sampled as they stand, with no stage run again.  Each sample is checked
     before it is emitted: its image must have the degree of psi and must equal
     torus_map^-1 after psi after torus_map, which is checked from psi alone, not
-    from the curve: the image's coefficients times one divisor must give the sums
-    of one integer regrade per component, so no Fraction of the conjugate is built.
+    from the curve: TorusAction.conjugate regrades psi's int numerators, so no
+    Fraction of the conjugate is built.
     """
     if isinstance(phi, WitnessReport):
         psi, data, curve = phi.normalization.result, phi.data, phi.curve
@@ -392,10 +391,9 @@ def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> lis
             )
         image = curve.specialize(value)
         # a second way to the image: regrade psi's x-slots by t0^w and t0, over slot i's factor
-        # in component i, and compare integer sums with coefficients times one divisor; the
-        # curve's t-exponents come from torus_conjugate, and with_t_set sets t = t0
-        pairs = zip(image.components, action._regraded(psi, value, sums=True))
-        if not all(g == r if type(r) is Poly else _is_quotient(g, *r) for g, r in pairs):
+        # in component i; the curve's t-exponents come from torus_conjugate, and with_t_set
+        # sets t = t0
+        if image != action.conjugate(psi, value):
             raise ConsistencyError(
                 f"specialization at t = {value} is not the expected conjugate"
             )

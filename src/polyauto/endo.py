@@ -21,13 +21,13 @@ verb's run.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
 from operator import lshift
 from typing import Sequence
 
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
-from .poly import NEG_INF, Poly, Scalar, _as_fraction, _layout, _norm_coeff, _packed_product
+from .poly import NEG_INF, Poly, Scalar, _as_fraction, _layout, _packed_product
 from .poly import _table, _var_key
 
 # poly_det packs one slot densely only while its degree bound stays within
@@ -164,8 +164,8 @@ class Endo(_PolyTuple):
         if self.n != other.n:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
         if all(len(f._terms) == 1 and sum(next(iter(f._terms))) == 1 for f in self.components):
-            heads = [next(iter(f._terms.items())) for f in self.components]
-            images = [(other.components[k.index(1)], c.as_integer_ratio()) for k, c in heads]
+            heads = [(*next(iter(f._terms.items())), f._den) for f in self.components]
+            images = [(other.components[k.index(1)], (c, den)) for k, c, den in heads]
             return Endo._make(tuple([g._regrade([], ratio) for g, ratio in images]))
         slots = [_table(g) for g in other.components]
         return Endo._make(tuple([f._substitute(slots) for f in self.components]))
@@ -194,13 +194,16 @@ class Endo(_PolyTuple):
     def affine_part(self) -> "Endo":
         """Truncation of each component to its constant and linear terms."""
         return Endo(
-            [Poly._make(self.n, {k: c for k, c in f if sum(k) <= 1}) for f in self.components]
+            [
+                Poly._make(self.n, {k: c for k, c in f._terms.items() if sum(k) <= 1}, f._den)
+                for f in self.components
+            ]
         )
 
     def has_identity_affine_part(self) -> bool:
-        """Component i's terms of degree at most one are exactly x_i."""
+        """Component i's terms of degree at most one are exactly x_i, a numerator of den."""
         return all(
-            {k: c for k, c in f if sum(k) <= 1} == {_var_key(self.n, i): 1}
+            {k: c for k, c in f._terms.items() if sum(k) <= 1} == {_var_key(self.n, i): f._den}
             for i, f in enumerate(self.components, start=1)
         )
 
@@ -208,7 +211,7 @@ class Endo(_PolyTuple):
         """The n x n matrix of linear coefficients (row i: component i)."""
         keys = [_var_key(self.n, j) for j in range(1, self.n + 1)]
         return tuple(
-            tuple(_as_fraction(f._terms.get(k, 0)) for k in keys) for f in self.components
+            tuple(Fraction(f._terms.get(k, 0), f._den) for k in keys) for f in self.components
         )
 
     def translation(self) -> tuple[Fraction, ...]:
@@ -284,11 +287,12 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     Leibniz inversion count against the entries already taken, so that row
     order needs no correcting sign at the end.  The expansion runs on
     Kronecker-packed integers (:class:`_Packing`, whose fields ``poly._layout``
-    places) and multiplies them in ``poly._packed_product``: each row is multiplied
-    by the lcm of its denominators, the coefficients of one dense slot (the
-    one of largest degree bound) share one int in B-bit fields, the other
-    slots' exponents pack into the dict key, and the determinant is decoded
-    once, in balanced digits, then divided by the product of the row lcms.
+    places) and multiplies them in ``poly._packed_product``: each row is put
+    over one denominator, the lcm of its entries' dens, and packs its int
+    numerators; the coefficients of one dense slot (the one of largest degree
+    bound) share one int in B-bit fields, the other slots' exponents pack into
+    the dict key, and the determinant is decoded once, in balanced digits, over
+    the product of the row denominators, reduced once.
     Packing the dense slot evaluates it at y = 2^B, a ring homomorphism, so
     products and sums of packed values are exact without decoding.  The
     decoding is unique for B = bits(P) + 2, with P the product over rows of
@@ -316,16 +320,19 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
     for k, i in enumerate(order):
         below = sum(r < i for r in order[:k])
+        row = packing.rows[i]
+        negated: dict[int, list] = {}  # entry j's negated terms, built at most once per row
         new: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(packing.rows[i]):
+            for j, entry in enumerate(row):
                 bit = 1 << j
                 if cols & bit or not entry:
                     continue
                 # Leibniz sign: (i, j) against each taken (r, c), the parity of
                 # [r < i] + [c < j] equals that of the inversion [r < i] != [c < j]
-                negate = (below + (cols & (bit - 1)).bit_count()) & 1
-                terms = [(key, -c) for key, c in entry.items()] if negate else entry.items()
+                terms = entry.items()
+                if (below + (cols & (bit - 1)).bit_count()) & 1:
+                    terms = negated.get(j) or negated.setdefault(j, [(key, -c) for key, c in terms])
                 _packed_product(new.setdefault(cols | bit, {}), terms, minor.items())
         minors = {}
         for cols, acc in new.items():
@@ -340,13 +347,14 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
 class _Packing:
     """Kronecker packing of one matrix's entries, and its inverse.
 
-    After its row is made integral, a term c * x^e of an entry (t is the last
-    slot of e) is read as the int E = sum(e[s] << offset[s]) over all slots,
-    with the fields of ``poly._layout``.  The key fields sit below bit ``top``
-    and the dense slot's field at ``top``, so the term goes to the key E mod
-    2^top and adds c << (width * (E >> top)) to that key's value.  No slot is
-    dense when the dense degree bound exceeds _DENSE_DEGREE_PER_TERM times the
-    matrix's term count: then E >> top is 0 and values are plain coefficients.
+    After its row is put over one denominator, a term c * x^e of an entry, c
+    its int numerator and t the last slot of e, is read as the int
+    E = sum(e[s] << offset[s]) over all slots, with the fields of
+    ``poly._layout``.  The key fields sit below bit ``top`` and the dense
+    slot's field at ``top``, so the term goes to the key E mod 2^top and adds
+    c << (width * (E >> top)) to that key's value.  No slot is dense when the
+    dense degree bound exceeds _DENSE_DEGREE_PER_TERM times the matrix's term
+    count: then E >> top is 0 and values are plain coefficients.
     """
 
     def __init__(self, rows: Sequence[Sequence[Poly]], nvars: int):
@@ -354,14 +362,12 @@ class _Packing:
         scaled = []
         self.divisor = norm = 1
         for row in rows:
-            row = [entry.terms() for entry in row]
-            m = lcm(*{c.denominator for entry in row for c in entry.values()})
-            if m > 1:
-                self.divisor *= m
-                row = [
-                    {key: c.numerator * (m // c.denominator) for key, c in entry.items()}
-                    for entry in row
-                ]
+            m = 1  # the lcm of the row's dens
+            for entry in row:
+                m *= entry._den // gcd(m, entry._den)
+            self.divisor *= m
+            row = [(entry._terms, m // entry._den) for entry in row]
+            row = [terms if s == 1 else {k: c * s for k, c in terms.items()} for terms, s in row]
             scaled.append(row)
             norm *= sum([abs(c) for entry in row for c in entry.values()])
         self.width = norm.bit_length() + 2
@@ -384,7 +390,7 @@ class _Packing:
             self.rows.append(packed_row)
 
     def unpack(self, packed: dict[int, int]) -> Poly:
-        """The polynomial of packed terms, divided by the rows' lcms."""
+        """The polynomial of packed terms, over the product of the row denominators."""
         width = self.width
         mask = (1 << width) - 1
         half = 1 << (width - 1)
@@ -402,10 +408,8 @@ class _Packing:
                 if c >= half:
                     c -= mask + 1
                 key = p | e << self.top
-                out[tuple((key >> offset) & field for offset, field in self.fields)] = (
-                    c if self.divisor == 1 else _norm_coeff(Fraction(c, self.divisor))
-                )
+                out[tuple((key >> offset) & field for offset, field in self.fields)] = c
                 value = (value - c) >> width
                 e += 1
-        return Poly._make(self.nvars, out)
+        return Poly._make(self.nvars, out, self.divisor)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence, Union
 from . import _linalg
 from .endo import Endo, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import Poly, Scalar, _as_fraction, _norm_coeff, _var_key
+from .poly import Poly, Scalar, _as_fraction, _from_ratios, _var_key
 
 
 class AffineMap(_Value):
@@ -86,8 +86,8 @@ class AffineMap(_Value):
         # the keys of x1..xn, then of the constant; zero coefficients are dropped
         keys = [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
         rows = [zip(keys, row + (v,)) for row, v in zip(self.matrix, self.translation)]
-        components = [Poly._make(n, {k: _norm_coeff(c) for k, c in row if c}) for row in rows]
-        return Endo._make(tuple(components))
+        ratios = [[(k, c.numerator, c.denominator) for k, c in row] for row in rows]
+        return Endo._make(tuple([_from_ratios(n, row) for row in ratios]))
 
     def inverse(self) -> "AffineMap":
         return AffineMap._make(*_linalg.invert_affine(self.matrix, self.translation))
@@ -98,8 +98,8 @@ class AffineMap(_Value):
 
 
 def _component(n: int, i: int, a: Fraction, shift: Poly) -> Poly:
-    # a_i*x_i + p_i as one term dict: the shift never holds the x_i key
-    return Poly._make(n, {_var_key(n, i): _norm_coeff(a), **shift._terms})
+    # a_i*x_i + p_i: the shift never holds the x_i key
+    return Poly._make(n, {_var_key(n, i): a.numerator}, a.denominator) + shift
 
 
 class TriangularMap(_Value):
@@ -140,9 +140,9 @@ class TriangularMap(_Value):
         scalings = []
         shifts = []
         for i, f in enumerate(sigma.components, start=1):
-            terms = f.terms()
-            scalings.append(terms.pop(_var_key(sigma.n, i), 0))
-            shifts.append(Poly._make(sigma.n, terms))
+            terms = dict(f._terms)
+            scalings.append(Fraction(terms.pop(_var_key(sigma.n, i), 0), f._den))
+            shifts.append(Poly._make(sigma.n, terms, f._den))
         return cls(scalings, shifts)
 
     def to_endo(self) -> Endo:

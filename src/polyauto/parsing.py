@@ -19,9 +19,10 @@ endomorphism has as many as it has components (1 plus the commas before
 the first ']'); a lone polynomial has ``nvars`` if given, else the highest
 index named (at least 1).  Any explicit index beyond that count is a
 ParseError at the token that names it, even if its terms cancel later.
-The parser then builds each monomial as an exponent key and a coefficient:
-``^k`` scales a key, a product adds keys, and an expression sums its terms
-into one dict.  Only a parenthesized factor is a :class:`Poly`, combined by
+The parser then builds each monomial as an exponent key and a coefficient,
+an int numerator over an int denominator: ``^k`` scales a key, a product
+adds keys, and an expression sums its terms over one denominator, as a Poly
+stores them.  Only a parenthesized factor is a :class:`Poly`, combined by
 Poly's own arithmetic.
 """
 
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from .endo import Endo
 from .errors import ParseError
-from .poly import Poly, _norm_coeff, _nvars, _var_key
+from .poly import Poly, _from_ratios, _nvars, _var_key
 
 _TOKEN = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^(),\[\]])|(?P<bad>\S)"
@@ -124,26 +125,29 @@ class _PolyParser:
         self.constant = (0,) * (_nvars(nvars) + 1)  # the key of a constant
 
     def parse_expr(self) -> Poly:
-        """The sum of the terms, added into one dict; zeros are dropped and integral
-        Fractions demoted once, at the end."""
-        tokens, acc = self.tokens, {}
-        get = acc.get
+        """The sum of the terms as (key, numerator, denominator) triples, summed over one
+        denominator by poly._from_ratios, which drops zeros and reduces once, at the end."""
+        tokens, triples = self.tokens, []
         kind, value, _ = tokens.peek()
         negate = kind == "op" and value == "-"
         if negate:
             tokens.next()
         while True:
             term = self.parse_term()
-            for key, c in term._terms.items() if type(term) is Poly else (term,):
-                acc[key] = get(key, 0) + (-c if negate else c)
+            if type(term) is Poly:
+                items = [(key, c, term._den) for key, c in term._terms.items()]
+            else:
+                items = (term,)
+            triples += [(key, -c if negate else c, d) for key, c, d in items]
             kind, value, _ = tokens.peek()
             if kind != "op" or value not in "+-":
-                return Poly._make(self.nvars, {k: _norm_coeff(c) for k, c in acc.items() if c})
+                return _from_ratios(self.nvars, triples)
             tokens.next()
             negate = value == "-"
 
     def parse_term(self):
-        """A monomial (key, coefficient), its factors' keys added; a Poly once a factor is."""
+        """A monomial (key, numerator, denominator), its factors' keys added; a Poly once a
+        factor is."""
         term = self.parse_factor()
         while True:
             kind, value, _ = self.tokens.peek()
@@ -153,7 +157,8 @@ class _PolyParser:
                 return term
             factor = self.parse_factor()
             if type(term) is tuple and type(factor) is tuple:
-                term = (tuple(map(int.__add__, term[0], factor[0])), term[1] * factor[1])
+                key = tuple(map(int.__add__, term[0], factor[0]))
+                term = (key, term[1] * factor[1], term[2] * factor[2])
             else:
                 term = self._poly(term) * self._poly(factor)
 
@@ -172,11 +177,12 @@ class _PolyParser:
             if type(factor) is Poly:
                 factor = factor**e
             else:
-                key, c = factor
-                factor = (tuple([k * e for k in key]), c**e)
+                key, c, d = factor
+                factor = (tuple([k * e for k in key]), c**e, d**e)
 
     def parse_primary(self):
-        """A coefficient or a variable as a monomial (key, coefficient); '(' expr ')' as a Poly."""
+        """A coefficient or a variable as a monomial (key, numerator, denominator); '(' expr ')'
+        as a Poly."""
         kind, value, at = self.tokens.next()
         if kind == "int":
             numerator = _int(value, at)
@@ -186,10 +192,10 @@ class _PolyParser:
                 dk, dv, dat = self.tokens.next()
                 if dk != "int" or _int(dv, dat) == 0:
                     raise ParseError("denominator must be a positive integer", dat)
-                return self.constant, _norm_coeff(Fraction(numerator, _int(dv, dat)))
-            return self.constant, numerator
+                return self.constant, numerator, _int(dv, dat)
+            return self.constant, numerator, 1
         if kind == "name":
-            return self._variable(value, at), 1
+            return self._variable(value, at), 1, 1
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.tokens.expect_op(")")
@@ -197,7 +203,7 @@ class _PolyParser:
         raise ParseError(f"expected a coefficient, variable, or '(', found {value or 'end of input'!r}", at)
 
     def _poly(self, term) -> Poly:
-        return term if type(term) is Poly else Poly(self.nvars, dict([term]))
+        return term if type(term) is Poly else _from_ratios(self.nvars, [term])
 
     def _variable(self, name: str, at: int) -> tuple:
         """The exponent key of x<k>, an alias or t, once the name is checked."""

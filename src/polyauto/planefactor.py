@@ -40,7 +40,7 @@ def leading_form(f: Poly) -> Poly:
 def _proportionality(p: Poly, q: Poly) -> Fraction | None:
     """The constant c with p == c * q, or None if no such constant exists."""
     anchor = max(q._terms)
-    c = Fraction(p._terms.get(anchor, 0), q._terms[anchor])
+    c = Fraction(p._terms.get(anchor, 0) * q._den, q._terms[anchor] * p._den)
     if c == 0:
         return None
     return c if p == c * q else None

@@ -1,19 +1,24 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial in x1..xn, optionally involving one distinguished parameter named
-t, is stored as a dictionary mapping exponent tuples to nonzero exact rational
-coefficients: an ``int`` where the value is integral, otherwise a
-:class:`fractions.Fraction`.  Keys have length ``nvars + 1``; the last slot
-holds the exponent of t.  The zero polynomial has an empty term map, zero
-coefficients are never stored, and equality is structural (a constant also
-equals its value), so canonical forms are unique.  Products add Kronecker-packed
-keys laid out by ``_layout`` in ``_packed_product``, as ``endo.poly_det`` does.
-Substitution (so composition) and setting t run on ints.  Scaling skips
-``_substitute``: ``_regrade`` multiplies each term c*x^e by prod a_j^e_j and an
-outer factor on ints, divided once, or flips signs where every factor is +-1;
-setting t also drops t's exponent.  It serves products by a constant,
-``with_t_set``, composition after a scaled permutation and the torus
-conjugation, whose check reads its int sums (``_is_quotient``).
+t, is stored as one positive int denominator ``_den`` over a dictionary
+``_terms`` mapping exponent tuples to nonzero int numerators, with
+gcd(den, every numerator) = 1, so den = 1 for an integral polynomial: the
+layout of FLINT's ``fmpq_poly``.  Keys have length ``nvars + 1``; the last
+slot holds the exponent of t.  The zero polynomial has an empty term map over
+den 1, zero numerators are never stored, and ``_make`` divides out any common
+factor of den and the numerators, so canonical forms are unique and equality
+is structural (a constant also equals its value).  Fractions are built only
+at the API boundary: ``terms()``, iteration, ``coefficient``,
+``constant_term``, ``evaluate`` and rendering, which give an ``int`` where a
+coefficient is integral, otherwise a :class:`fractions.Fraction`.  Products
+add Kronecker-packed keys laid out by ``_layout`` in ``_packed_product``, as
+``endo.poly_det`` does.  Substitution (so composition) and setting t run on
+the numerators.  Scaling skips ``_substitute``: ``_regrade`` multiplies each
+term c*x^e by prod a_j^e_j and an outer factor on ints, over one denominator,
+or flips signs where every factor is +-1; setting t also drops t's exponent.
+It serves products by a constant, ``with_t_set``, composition after a scaled
+permutation and the torus conjugation.
 
 Values are immutable by convention: no operation mutates one and no setter
 guards it; every operation is a pure function, so values can be shared freely.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, prod
 from operator import itemgetter, lshift
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -57,12 +62,9 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _norm_coeff(value):
-    # ints are much cheaper than Fractions; demote exact integers (an exact
-    # type test: isinstance(int, Fraction) runs ABCMeta.__instancecheck__)
-    if type(value) is not int and value.denominator == 1:
-        return value.numerator
-    return value
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational in lowest terms, the denominator positive."""
+    return (int(value), 1) if isinstance(value, int) else _as_fraction(value).as_integer_ratio()
 
 
 def _nvars(nvars: int) -> int:
@@ -130,69 +132,55 @@ def _power(table: dict[int, "Poly"], e: int) -> "Poly":
 
 def _table(g: "Poly") -> tuple:
     """The substitution slot of image g (see _substitute)."""
-    terms = g._terms
-    d = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
-    if d != 1:
-        g = Poly._make(g.nvars, {k: c.numerator * (d // c.denominator) for k, c in terms.items()})
-    return d, {1: g}
+    return g._den, {1: g if g._den == 1 else Poly._make(g.nvars, g._terms)}
 
 
-def _quotient(nvars: int, acc: dict, total: int) -> "Poly":
-    """The Poly of acc's nonzero int sums, each divided exactly by total."""
-    out = {k: Fraction(v, total) if v % total else v // total for k, v in acc.items() if v}
-    return Poly._make(nvars, out)
-
-
-def _is_quotient(g: "Poly", acc: dict, total: int) -> bool:
-    """g == _quotient(g.nvars, acc, total), with no Fraction built: g's coefficient num/den
-    (den 1 for an int) at each nonzero sum v's key has num*total == v*den, and no other key."""
-    terms, nonzero = g._terms, 0
-    for k, v in acc.items():
-        if v:
-            nonzero += 1
-            c = terms.get(k)
-            if c is None or c.numerator * total != v * c.denominator:
-                return False
-    return nonzero == len(terms)
+def _from_ratios(nvars: int, triples: Iterable[tuple]) -> "Poly":
+    """The Poly of the sum of num/den * x^key over (key, num, den) triples, den > 0: the
+    numerators are summed per key over the lcm of the dens seen so far."""
+    den, terms = 1, {}
+    for key, num, d in triples:
+        if den % d:
+            scale = d // gcd(den, d)
+            den *= scale
+            terms = {k: c * scale for k, c in terms.items()}
+        terms[key] = terms.get(key, 0) + num * (den // d)
+    return Poly._make(nvars, {k: c for k, c in terms.items() if c}, den)
 
 
 class Poly:
     """Sparse polynomial in x1..xn and the parameter t, immutable by convention: no
     operation mutates one, no setter guards it."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_den", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
         _nvars(nvars)
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple(key)
-                if len(key) == nvars:
-                    key = key + (0,)  # t-free input: pad the t slot
-                elif len(key) != nvars + 1:
-                    raise DimensionError(
-                        f"exponent tuple {key} does not fit {nvars} variables"
-                    )
-                if any(type(e) is not int or e < 0 for e in key):
-                    raise DimensionError(f"exponents must be non-negative integers: {key}")
-                c = _norm_coeff(_as_fraction(coeff))
-                if c:
-                    acc = clean.get(key)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[key] = c
-                    else:
-                        del clean[key]
-        self.nvars = nvars
-        self._terms = clean
+        triples = []
+        for key, coeff in (terms or {}).items():
+            key = tuple(key)
+            if len(key) == nvars:
+                key = key + (0,)  # t-free input: pad the t slot
+            elif len(key) != nvars + 1:
+                raise DimensionError(
+                    f"exponent tuple {key} does not fit {nvars} variables"
+                )
+            if any(type(e) is not int or e < 0 for e in key):
+                raise DimensionError(f"exponents must be non-negative integers: {key}")
+            triples.append((key, *_ratio(coeff)))
+        p = _from_ratios(nvars, triples)
+        self.nvars, self._den, self._terms = nvars, p._den, p._terms
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict) -> "Poly":
-        # Trusted fast path: terms already canonical (int values where
-        # integral, Fraction otherwise, no zeros, full-length keys).
+    def _make(cls, nvars: int, terms: dict, den: int = 1) -> "Poly":
+        # Trusted fast path: nonzero int numerators, full-length keys, den > 0.  A den
+        # other than 1 is reduced against the numerators here, so callers may drop or
+        # sum terms freely.
+        if den != 1 and (g := gcd(den, *terms.values())) != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
         self = object.__new__(cls)
-        self.nvars, self._terms = nvars, terms
+        self.nvars, self._den, self._terms = nvars, den, terms
         return self
 
     # -- constructors ------------------------------------------------------
@@ -203,8 +191,8 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "Poly":
-        c = value if type(value) is int else _norm_coeff(_as_fraction(value))
-        return cls._make(_nvars(nvars), {(0,) * (nvars + 1): c} if c else {})
+        num, den = _ratio(value)
+        return cls._make(_nvars(nvars), {(0,) * (nvars + 1): num} if num else {}, den)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -228,12 +216,13 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> dict[tuple, Fraction]:
-        """A copy of the term map (exponent tuple, t slot last -> coefficient)."""
-        return dict(self._terms)
+    def terms(self) -> dict[tuple, Scalar]:
+        """The term map (exponent tuple, t slot last -> coefficient), an int where integral."""
+        den = self._den
+        return {k: Fraction(c, den) if c % den else c // den for k, c in self._terms.items()}
 
-    def __iter__(self) -> Iterator[tuple[tuple, Fraction]]:
-        return iter(self._terms.items())
+    def __iter__(self) -> Iterator[tuple[tuple, Scalar]]:
+        return iter(self.terms().items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -248,13 +237,13 @@ class Poly:
         return all(not any(key) for key in self._terms)
 
     def constant_term(self) -> Fraction:
-        return _as_fraction(self._terms.get((0,) * (self.nvars + 1), 0))
+        return Fraction(self._terms.get((0,) * (self.nvars + 1), 0), self._den)
 
     def coefficient(self, xexps: Sequence[int], t_exp: int = 0) -> Fraction:
         """Coefficient of the monomial with the given x-exponents and t-exponent."""
         if len(xexps) != self.nvars:
             raise DimensionError("exponent tuple length must equal nvars")
-        return _as_fraction(self._terms.get(tuple(xexps) + (t_exp,), 0))
+        return Fraction(self._terms.get(tuple(xexps) + (t_exp,), 0), self._den)
 
     # -- degrees and valuations -------------------------------------------
 
@@ -298,7 +287,7 @@ class Poly:
         picked = {
             key: c for key, c in self._terms.items() if sum(key[i] for i in idx) == weight
         }
-        return Poly._make(self.nvars, picked)
+        return Poly._make(self.nvars, picked, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -323,20 +312,22 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return other + self if isinstance(other, Poly) else NotImplemented
-        out = dict(self._terms)
+        # both over lcm(den): self's numerators times sa, q's times sb
+        g = gcd(self._den, q._den)
+        sa, sb = q._den // g, self._den // g
+        out = dict(self._terms) if sa == 1 else {k: c * sa for k, c in self._terms.items()}
         for key, c in q._terms.items():
-            acc = out.get(key)
-            s = c if acc is None else acc + c
+            s = out.get(key, 0) + c * sb
             if s:
                 out[key] = s
             else:
-                out.pop(key, None)
-        return Poly._make(self.nvars, out)
+                del out[key]
+        return Poly._make(self.nvars, out, self._den * sa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.nvars, {k: -c for k, c in self._terms.items()})
+        return Poly._make(self.nvars, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Poly":
         q = self._coerce(other)
@@ -354,35 +345,35 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return other * self if isinstance(other, Poly) else NotImplemented
-        a, b = self._terms, q._terms
-        if len(a) > len(b):
-            a, b, q = b, a, self
+        p = self
+        if len(p._terms) > len(q._terms):
+            p, q = q, p
+        a, b, den = p._terms, q._terms, p._den * q._den
         if not a:
             return Poly.zero(self.nvars)
         if len(a) == 1:
             # a monomial shifts every key of b: no collisions, no cancellation
             [(ka, ca)] = a.items()
             if not any(ka):
-                return q._regrade([], ca.as_integer_ratio())
+                return q._regrade([], (ca, p._den))
             return Poly._make(
-                self.nvars,
-                {tuple(map(int.__add__, ka, kb)): _norm_coeff(ca * cb) for kb, cb in b.items()},
+                self.nvars, {tuple(map(int.__add__, ka, kb)): ca * cb for kb, cb in b.items()}, den
             )
         # every exponent of the product is at most the sum of the operands' largest exponents
         fields, offsets, _ = _layout([max(map(max, a)) + max(map(max, b))] * (self.nvars + 1))
         pa, pb = ([(sum(map(lshift, k, offsets)), c) for k, c in t.items()] for t in (a, b))
         acc = _packed_product({}, pa, pb)
-        out = {tuple((p >> s) & m for s, m in fields): _norm_coeff(c) for p, c in acc.items() if c}
-        return Poly._make(self.nvars, out)
+        out = {tuple((key >> s) & m for s, m in fields): c for key, c in acc.items() if c}
+        return Poly._make(self.nvars, out, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            num, den = _ratio(other)
+            if not num:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return self._regrade([], (1 / c).as_integer_ratio())
+            return self._regrade([], (den, num) if num > 0 else (-den, -num))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
@@ -395,15 +386,14 @@ class Poly:
     def partial_derivative(self, index: int) -> "Poly":
         """Formal partial derivative with respect to x_index (1-based)."""
         i = _slot(self.nvars, index)
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int] = {}
         for key, c in self._terms.items():
             e = key[i]
             if e:
                 nk = list(key)
                 nk[i] = e - 1
-                c *= e
-                out[tuple(nk)] = _norm_coeff(c) if type(c) is Fraction else c
-        return Poly._make(self.nvars, out)
+                out[tuple(nk)] = c * e
+        return Poly._make(self.nvars, out, self._den)
 
     def substitute(self, images: Sequence["Poly"], t_image: "Poly | None" = None) -> "Poly":
         """Replace x_i by images[i-1]; t is left fixed unless t_image is given.
@@ -424,27 +414,25 @@ class Poly:
         return self._substitute([_table(g) for g in [*images, t_base]])
 
     def _substitute(self, slots: Sequence[tuple]) -> "Poly":
-        # slots[i] = _table(image of slot i): (d, powers of the int image d*g)
-        # with d the lcm of g's denominators; slots past the last table (t, for a
-        # t-free self) must carry exponent 0.  With clear*self integral and m the
-        # top exponent per slot, c*x^e adds the int c*clear * prod d^(m-e) *
-        # prod (d*g)^e to one accumulator; each sum is divided once by total =
-        # clear * prod d^m.  A zero image's powers are zero, so the terms that use
-        # it add nothing.  The slots' power tables are shared by every polynomial
-        # they substitute into.
+        # slots[i] = _table(image of slot i): (d, powers of the int numerator d*g)
+        # with d g's den; slots past the last table (t, for a t-free self) must
+        # carry exponent 0.  With m the top exponent per slot, the numerator c of
+        # c*x^e adds the int c * prod d^(m-e) * prod (d*g)^e to one accumulator,
+        # and the sums are over total = self's den * prod d^m, reduced once by
+        # _make.  A zero image's powers are zero, so the terms that use it add
+        # nothing.  The slots' power tables are shared by every polynomial they
+        # substitute into.
         source = self._terms
         zero_key = (0,) * (self.nvars + 1)
-        clear = lcm(*[c.denominator for c in source.values() if type(c) is not int])
         scaled = [
             (i, d, max((k[i] for k in source), default=0), {0: 1})
             for i, (d, _) in enumerate(slots)
             if d != 1
         ]
-        total = clear * prod(d**m for _, d, m, _ in scaled)
+        total = self._den * prod(d**m for _, d, m, _ in scaled)
         acc: dict[tuple, int] = {}
         get = acc.get
         for key, c in source.items():
-            c = c * clear if type(c) is int else c.numerator * (clear // c.denominator)
             for i, d, m, dpow in scaled:
                 k = m - key[i]
                 if k not in dpow:
@@ -462,15 +450,14 @@ class Poly:
             for k, v in items:
                 old = get(k)
                 acc[k] = v if old is None else old + v
-        return _quotient(self.nvars, acc, total)
+        return Poly._make(self.nvars, {k: v for k, v in acc.items() if v}, total)
 
-    def _regrade(self, moved: Sequence[tuple], outer=(1, 1), drop_t=False, sums=False):
-        """a/b * self for outer = (a, b), with c*x^e scaled by prod a_j^e_j for moved =
-        [(j, p, q)], a_j = p/q != 1 the factor of slot j (x1..xn, t); with drop_t, t's
-        exponent goes to 0 and colliding keys are summed.  If every factor is +-1, signs
-        flip by parity; else, on ints, c*clear*a * prod p^e_j q^(m_j - e_j) over
-        total = clear*b * prod q^m_j is one _quotient.  With sums, that integer path
-        returns (acc, total) before _quotient, for _is_quotient to compare."""
+    def _regrade(self, moved: Sequence[tuple], outer=(1, 1), drop_t=False) -> "Poly":
+        """a/b * self for outer = (a, b) in lowest terms, b > 0, with c*x^e scaled by
+        prod a_j^e_j for moved = [(j, p, q)], a_j = p/q != 1 (q > 0) the factor of slot j
+        (x1..xn, t); with drop_t, t's exponent goes to 0 and colliding keys are summed.  If
+        every factor is +-1, signs flip by parity; else the numerator c of c*x^e becomes
+        c*a * prod p^e_j q^(m_j - e_j), over den*b * prod q^m_j."""
         terms, acc = self._terms, {}
         a, b = outer
         if not terms or (not drop_t and not moved and a == b):
@@ -486,29 +473,28 @@ class Poly:
                     key = key[:-1] + (0,)
                 old = get(key)
                 acc[key] = c if old is None else old + c
-            if len(acc) < len(terms):  # collided: drop zero sums, demote integral ones
-                acc = {k: _norm_coeff(v) for k, v in acc.items() if v}
-            return Poly._make(self.nvars, acc)
-        clear = lcm(*[c.denominator for c in terms.values() if type(c) is not int])
-        scaled, a = [], a * clear
+            if len(acc) < len(terms):  # collided: drop zero sums
+                acc = {k: v for k, v in acc.items() if v}
+            return Poly._make(self.nvars, acc, self._den)
+        scaled = []
         for j, p, q in moved:
             exps = {k[j] for k in terms}
             m = max(exps)
             scaled.append((j, {e: p**e * q ** (m - e) for e in exps}))
             b *= q**m
         for key, c in terms.items():
-            c = c * a if type(c) is int else c.numerator * (a // c.denominator)
+            c *= a
             for j, powers in scaled:
                 c *= powers[key[j]]
             if drop_t:
                 key = key[:-1] + (0,)
             old = get(key)
             acc[key] = c if old is None else old + c
-        return (acc, clear * b) if sums else _quotient(self.nvars, acc, clear * b)
+        return Poly._make(self.nvars, {k: v for k, v in acc.items() if v}, self._den * b)
 
     def with_t_set(self, value: Scalar) -> "Poly":
         """Specialize t to an exact rational t0: scale t's slot by t0 and drop its exponent."""
-        p, q = (value if type(value) is int else _as_fraction(value)).as_integer_ratio()
+        p, q = _ratio(value)
         return self._regrade([] if p == q else [(self.nvars, p, q)], drop_t=True)
 
     def divide_t(self, power: int) -> "Poly":
@@ -519,12 +505,12 @@ class Poly:
             raise ValueError(f"cannot divide by t^{power}: the power must be non-negative")
         if power == 0 or not self._terms:
             return self
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int] = {}
         for key, c in self._terms.items():
             if key[-1] < power:
                 raise ValueError(f"term with t-exponent {key[-1]} is not divisible by t^{power}")
             out[key[:-1] + (key[-1] - power,)] = c
-        return Poly._make(self.nvars, out)
+        return Poly._make(self.nvars, out, self._den)
 
     def evaluate(self, point: Sequence[Scalar], t_value: Scalar | None = None) -> Fraction:
         """Exact value at a rational point; t_value is required iff t occurs."""
@@ -545,13 +531,13 @@ class Poly:
                     raise DimensionError("polynomial mentions t but no t value was given")
                 term *= tv**et
             total += term
-        return total
+        return total / self._den
 
     # -- equality, hashing, rendering ---------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly) and self.nvars == other.nvars:
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, Poly):  # only constants compare equal across variable counts
             return self.is_constant() and other.is_constant() and self == other.constant_term()
         if isinstance(other, (int, Fraction)):
@@ -561,11 +547,11 @@ class Poly:
     def __hash__(self) -> int:
         if self.is_constant():  # equal to its coefficient (see __eq__), so hashed alike
             return hash(self.constant_term())
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._terms.items())))
 
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         """Terms in descending graded-lexicographic order, x1 > ... > xn > t."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.terms().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self._terms:

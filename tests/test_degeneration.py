@@ -512,19 +512,18 @@ class TestClosureWitness:
 
 
 class TestNumeratorCheck:
-    """closure_witness compares each sample image with the integer sums of the conjugate's
-    regrade, times their one divisor; every corrupted image must fail that comparison."""
+    """closure_witness compares each sample image with the conjugate regraded on psi's int
+    numerators, over one denominator; every corrupted image must fail that comparison."""
 
     NAGATA_T0 = [2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 5)]
 
     def sample_corrupted(self, monkeypatch, t0, corrupt):
         """closure_witness of the Nagata report at t0, with corrupt(terms, total) applied to
-        the terms of the image's first component; total is that component's divisor, 1 on
-        the +-1 path, whose result is a Poly."""
+        the terms of the image's first component; total is that component's denominator."""
         report = witness_report(nagata()[0])
         psi = report.normalization.result
-        first = TorusAction(3, report.data.valuation)._regraded(psi, t0, sums=True)[0]
-        total = 1 if isinstance(first, Poly) else first[1]
+        first = TorusAction(3, report.data.valuation).conjugate(psi, t0).components[0]
+        total = first._den
         specialize = ParamEndo.specialize
 
         def corrupted(curve, value):

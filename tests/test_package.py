@@ -97,6 +97,21 @@ def test_import_loads_no_submodule():
     assert done.stdout.strip() == "['polyauto']"
 
 
+def test_documented_examples_run():
+    # poly's doctests and README's library sketch run nowhere else, and what they show
+    # depends on how a Poly stores and renders its coefficients
+    import doctest
+
+    import polyauto.poly
+
+    assert doctest.testmod(polyauto.poly) == (0, 3)
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as readme:
+        sketch = readme.read().split("## Library sketch", 1)[1]
+    namespace = {}
+    exec(sketch.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    assert str(namespace["witness"]) == "[-2*x2^3 + x1, x2, x3]"  # as the sketch's comment says
+
+
 def test_bench_trace_targets_resolve():
     # the tracer replaces each target in its owner's __dict__, so a renamed or deleted
     # target would only fail a bench run with tracing on

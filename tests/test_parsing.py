@@ -406,8 +406,7 @@ class TestKeyBuildingParser:
         big = parse_endo("[x1^9999999999999999999, x2]").components[0]
         assert big.terms() == {(9999999999999999999, 0, 0): 1}
         assert exact(parse_poly("3/4*x2^2")) == (2, {(0, 2, 0): (Fraction, Fraction(3, 4))})
-        # integral sums and products are ints; Poly's own + would leave 1/2*x1 + 1/2*x1
-        # a Fraction(1, 1), so these have no arithmetic oracle
+        # integral sums and products are ints, as Poly's own + and * leave them
         assert exact(parse_poly("1/2*x1 + 1/2*x1 + 2*3/4*x2*2/3")) == (
             2, {(1, 0, 0): (int, 1), (0, 1, 0): (int, 1)}
         )

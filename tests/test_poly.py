@@ -779,3 +779,72 @@ class TestCanonicalForm:
     def test_numbers_past_the_int_string_limit(self, p):
         with pytest.raises(AlgebraError, match=str(sys.get_int_max_str_digits())):
             str(p)
+
+
+class TestOneDenominator:
+    """A Poly is int numerators over one positive denominator that shares no factor with
+    all of them.  Every operation that drops or sums terms must divide out the factor it
+    leaves, so that its result equals, and hashes like, the value built from Fractions
+    through the constructor, and terms() gives an int where a coefficient is integral."""
+
+    @staticmethod
+    def quarter():
+        """(2*x1 + x2^2)/4, stored over den 4."""
+        p = Poly(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(1, 4)})
+        assert (p._den, p._terms) == (4, {(1, 0, 0): 2, (0, 2, 0): 1})
+        return p
+
+    @staticmethod
+    def check(result, terms):
+        expected = Poly(result.nvars, terms)
+        assert result == expected and hash(result) == hash(expected)
+        assert result.terms() == expected.terms()
+        assert_canonical(result)
+
+    def test_integral_sums_are_ints(self):
+        # + and - once kept 1/2 + 1/2 as Fraction(1, 1), and so did the constructor's merge
+        x1 = x(1, 1)
+        merged = Poly(1, {(1,): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+        for total in (x1 / 2 + x1 / 2, x1 / 2 - (-x1 / 2), merged):
+            assert total == x1 and hash(total) == hash(x1)
+            [(key, c)] = total.terms().items()
+            assert key == (1, 0) and type(c) is int and c == 1
+
+    def test_homogeneous_component(self):
+        p = self.quarter()
+        self.check(p.homogeneous_component([1], 1), {(1, 0): Fraction(1, 2)})
+        self.check((2 * p).homogeneous_component([1], 1), {(1, 0): 1})
+        self.check((2 * p).homogeneous_component([2], 2), {(0, 2): Fraction(1, 2)})
+
+    def test_partial_derivative(self):
+        p = self.quarter()
+        self.check(p.partial_derivative(1), {(0, 0): Fraction(1, 2)})
+        self.check(p.partial_derivative(2), {(0, 1): Fraction(1, 2)})
+        self.check((2 * p).partial_derivative(1), {(0, 0): 1})
+        self.check((2 * p).partial_derivative(2), {(0, 1): 1})
+
+    def test_cancelling_sum(self):
+        p, x2 = self.quarter(), x(2, 2)
+        self.check(p + -(x2**2) / 4, {(1, 0): Fraction(1, 2)})
+        self.check(2 * p - x2**2 / 2, {(1, 0): 1})
+        self.check(p - p, {})
+        assert (p - p)._den == 1
+
+    def test_affine_part(self):
+        from polyauto import Endo
+
+        p = self.quarter()
+        first, second = Endo([p, 2 * p]).affine_part().components
+        self.check(first, {(1, 0): Fraction(1, 2)})
+        self.check(second, {(1, 0): 1})
+
+    def test_obstruction(self):
+        # identity affine part: x1's numerator is the den, and the obstruction drops it
+        from polyauto import Endo, degeneration_data
+
+        x1, x2 = x(2, 1), x(2, 2)
+        for scale, coefficient in [(4, Fraction(1, 2)), (2, 1)]:
+            psi = Endo([x1 + (x1 * x2**2 + 2 * x2**2) / scale, x2])
+            data = degeneration_data(psi)
+            self.check(data.obstruction, {(0, 2): coefficient})
+            self.check(data.limit_shear, {(0, 2): coefficient})
