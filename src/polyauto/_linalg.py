@@ -1,35 +1,34 @@
-"""Tiny exact linear algebra for affine maps, by fraction-free elimination on ints."""
+"""Tiny exact linear algebra for affine maps, by fraction-free elimination on ints: a map
+x -> (Ax + u)/den is int rows [A | u] over one den > 0, and so is its inverse, built from
+Bareiss's rows with no Fraction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .errors import DimensionError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _eliminate(matrix: Matrix, augment: bool) -> tuple[int, int, int, list[list[int]]]:
-    # Bareiss (1968) on the int matrix A = scale * matrix: each division by the
-    # previous pivot is exact.  Returns (sign, pivot, scale, rows), pivot =
-    # det(PA) for the row swaps P (0 if singular), det A = sign * pivot.  With
-    # augment, Gauss-Jordan on [A | I] ends with rows [pivot*I | pivot*A^-1].
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise DimensionError("elimination needs a square matrix")
-    scale = lcm(*(v.denominator for row in matrix for v in row))
-    unit = range(n) if augment else ()
-    rows = [
-        [v.numerator * (scale // v.denominator) for v in row] + [int(i == j) for j in unit]
-        for i, row in enumerate(matrix)
-    ]
+def clear(rows) -> tuple[list[list[int]], int]:
+    """Rational rows as int rows over their one positive lcm denominator."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _eliminate(rows: list[list[int]], augment: bool) -> tuple[int, int, list[list[int]]]:
+    # Bareiss (1968) on int rows [A | B], pivoting in A's n columns: each division by
+    # the previous pivot is exact.  Returns (sign, pivot, rows), pivot = det(PA) for
+    # the row swaps P (0 if singular), det A = sign * pivot.  With augment,
+    # Gauss-Jordan ends with rows [pivot*I | pivot*A^-1 B].
+    n = len(rows)
     sign, prev = 1, 1
     for k in range(n):
         p = next((r for r in range(k, n) if rows[r][k]), None)
         if p is None:
-            return sign, 0, scale, rows
+            return sign, 0, rows
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
@@ -40,29 +39,28 @@ def _eliminate(matrix: Matrix, augment: bool) -> tuple[int, int, int, list[list[
                 row = rows[i]
                 rows[i] = [(pivot * a - row[k] * b) // prev for a, b in zip(row, top)]
         prev = pivot
-    return sign, prev, scale, rows
+    return sign, prev, rows
 
 
 def det(matrix: Matrix) -> Fraction:
     """Determinant by fraction-free elimination."""
-    sign, pivot, scale, _ = _eliminate(matrix, False)
-    return Fraction(sign * pivot, scale ** len(matrix))
+    if any(len(row) != len(matrix) for row in matrix):
+        raise DimensionError("elimination needs a square matrix")
+    rows, den = clear(matrix)
+    sign, pivot, _ = _eliminate(rows, False)
+    return Fraction(sign * pivot, den ** len(matrix))
 
 
-def invert(matrix: Matrix) -> Matrix:
-    """Exact inverse; raises on singular input."""
-    return invert_affine(matrix, [0] * len(matrix))[0]
-
-
-def invert_affine(matrix: Matrix, vector) -> tuple[Matrix, tuple[Fraction, ...]]:
-    """(M^-1, -M^-1 v) for x -> Mx + v, from R = pivot * (scale*M)^-1 on ints:
-    M^-1 = scale*R/pivot and, with v = u/L on ints, -M^-1 v = -scale*(R u)/(pivot*L)."""
-    _, pivot, scale, rows = _eliminate(matrix, True)
+def invert_affine(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """The inverse of x -> (Ax + u)/den as int rows over one positive den: x = A^-1 (den*y - u),
+    so Gauss-Jordan on [A | den*I | -u] ends with pivot * [I | den*A^-1 | -A^-1 u], and a
+    negative pivot's sign moves into the rows.  Raises ZeroDivisionError if A is singular."""
+    n = len(rows)
+    if any(len(row) != n + 1 for row in rows):
+        raise DimensionError("elimination needs a square matrix")
+    rows = [row[:n] + [den * (i == j) for j in range(n)] + [-row[n]] for i, row in enumerate(rows)]
+    _, pivot, rows = _eliminate(rows, True)
     if not pivot:
         raise ZeroDivisionError("matrix is singular")
-    rows = [row[len(rows) :] for row in rows]
-    clear = lcm(*(v.denominator for v in vector))
-    u = [v.numerator * (clear // v.denominator) for v in vector]
-    inverse = tuple(tuple(Fraction(scale * r, pivot) for r in row) for row in rows)
-    return inverse, tuple(Fraction(-scale * sum(map(mul, row, u)), pivot * clear) for row in rows)
-
+    sign = -1 if pivot < 0 else 1
+    return [[sign * v for v in row[n:]] for row in rows], sign * pivot

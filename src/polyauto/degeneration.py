@@ -202,14 +202,15 @@ def normalize(phi: Endo) -> NormalizationRecord:
     affine_inverse = None
     corrected = phi
     if not phi.has_identity_affine_part():
-        try:  # one elimination inverts the affine part or finds it singular
-            affine_inverse = AffineMap._make(*invert_affine(phi.linear_matrix(), phi.translation()))
+        try:  # one elimination on ints inverts the affine part or finds it singular
+            rows = invert_affine(*phi._affine_rows())
         except ZeroDivisionError:
             raise SingularAffinePart(
                 "the affine part is singular, so the input is not an automorphism",
                 {"endo": str(phi), "affine_part": str(phi.affine_part())},
             )
-        corrected = affine_inverse.to_endo().compose(phi)
+        affine_inverse = AffineMap._from_rows(*rows)
+        corrected = Endo._from_affine_rows(*rows).compose(phi)
     moving = next(
         (i for i, f in enumerate(corrected.components, 1) if f != Poly.variable(phi.n, i)), None
     )

@@ -21,7 +21,7 @@ verb's run.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import lshift
 from typing import Sequence
 
@@ -35,6 +35,11 @@ from .poly import _table, _var_key
 # every exponent up to the bound, so a sparse high power such as x1^(10^19)
 # must stay in the key.
 _DENSE_DEGREE_PER_TERM = 4
+
+
+def _affine_keys(n: int) -> list[tuple]:
+    """The keys of x1..xn, then of the constant: the columns of an affine row."""
+    return [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -193,33 +198,31 @@ class Endo(_PolyTuple):
 
     def affine_part(self) -> "Endo":
         """Truncation of each component to its constant and linear terms."""
-        return Endo(
-            [
-                Poly._make(self.n, {k: c for k, c in f._terms.items() if sum(k) <= 1}, f._den)
-                for f in self.components
-            ]
-        )
+        return Endo._from_affine_rows(*self._affine_rows())
 
     def has_identity_affine_part(self) -> bool:
-        """Component i's terms of degree at most one are exactly x_i, a numerator of den."""
-        return all(
-            {k: c for k, c in f._terms.items() if sum(k) <= 1} == {_var_key(self.n, i): f._den}
-            for i, f in enumerate(self.components, start=1)
-        )
+        """Component i's terms of degree at most one are exactly x_i: row i is den * e_i."""
+        rows, den = self._affine_rows()
+        return rows == [[den * (i == j) for j in range(self.n + 1)] for i in range(self.n)]
 
-    def linear_matrix(self) -> _linalg.Matrix:
-        """The n x n matrix of linear coefficients (row i: component i)."""
-        keys = [_var_key(self.n, j) for j in range(1, self.n + 1)]
-        return tuple(
-            tuple(Fraction(f._terms.get(k, 0), f._den) for k in keys) for f in self.components
-        )
+    def _affine_rows(self) -> tuple[list[list[int]], int]:
+        """Row i holds component i's coefficients of x1..xn, then its constant: int rows
+        [A | u] over one positive den, the affine part being x -> (Ax + u)/den."""
+        den, keys = lcm(*(f._den for f in self.components)), _affine_keys(self.n)
+        return [[f._terms.get(k, 0) * (den // f._den) for k in keys] for f in self.components], den
 
-    def translation(self) -> tuple[Fraction, ...]:
-        return tuple(f.constant_term() for f in self.components)
+    @classmethod
+    def _from_affine_rows(cls, rows: list[list[int]], den: int) -> "Endo":
+        """x -> (Ax + u)/den for int rows [A | u] and den > 0; zero entries are dropped."""
+        n, keys = len(rows), _affine_keys(len(rows))
+        return cls._make(
+            tuple([Poly._make(n, {k: c for k, c in zip(keys, row) if c}, den) for row in rows])
+        )
 
     def is_affine(self) -> bool:
         """Degree one with invertible linear part."""
-        return self._top_degree() == 1 and _linalg.det(self.linear_matrix()) != 0
+        rows, _ = self._affine_rows()
+        return self._top_degree() == 1 and _linalg.det([row[:-1] for row in rows]) != 0
 
     def is_triangular(self) -> bool:
         """Component i must be a_i*x_i + p_i with a_i != 0 and p_i in later variables."""

@@ -1,15 +1,16 @@
 """Constructive generators of the automorphism group and words over them.
 
-Two generator families are materialized: invertible affine maps (matrix
-plus translation) and triangular maps (per-variable scalings plus shifts
-that only use later variables).  Arbitrary automorphisms that should enter
-words without a known generator decomposition are wrapped as opaque
-generators, optionally carrying a registered inverse.
+Two generator families are materialized: invertible affine maps (matrix plus
+translation) and triangular maps (per-variable scalings plus shifts that only use later
+variables).  Automorphisms that should enter words without a known generator
+decomposition are wrapped as opaque generators, optionally with a registered inverse.
 
-A word is a sequence of (generator, +1/-1) letters.  Converting a word to
-an endomorphism folds the composition from the right, so the substitution
-work always plugs a large inner map into a small outer letter; this keeps
-exact arithmetic tractable for long words.
+A word is a sequence of (generator, +1/-1) letters.  Converting a word to an
+endomorphism folds the composition from the right, so the substitution work always plugs
+a large inner map into a small outer letter; this keeps exact arithmetic tractable for
+long words.  An affine or triangular letter, and its inverse, is built on int numerators
+over one den with no Fraction: the affine inverse from ``_linalg.invert_affine``'s rows,
+the triangular one by back-substitution through ``Poly._substitute``.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
 and default repr come from ``endo._Value`` alone, as for every value and record type, and
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence, Union
 from . import _linalg
 from .endo import Endo, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import Poly, Scalar, _as_fraction, _from_ratios, _var_key
+from .poly import Poly, Scalar, _as_fraction, _table, _var_key
 
 
 class AffineMap(_Value):
@@ -75,31 +76,43 @@ class AffineMap(_Value):
         return cls._make(tuple(zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(scal)), zero)
 
     @classmethod
+    def _from_rows(cls, rows: list[list[int]], den: int) -> "AffineMap":
+        """x -> (Ax + u)/den for int rows [A | u] and den > 0, unchecked like ``_make``."""
+        rows = [tuple(Fraction(c, den) for c in row) for row in rows]
+        return cls._make(tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows))
+
+    @classmethod
     def from_endo(cls, sigma: Endo) -> "AffineMap":
         """The affine map of a degree-one endomorphism; the constructor rejects a singular one."""
         if sigma._top_degree() != 1:
             raise DimensionError("endomorphism is not an affine map")
-        return cls(sigma.linear_matrix(), sigma.translation())
+        alpha = cls._from_rows(*sigma._affine_rows())
+        return cls(alpha.matrix, alpha.translation)
+
+    def _rows(self) -> tuple[list[list[int]], int]:
+        """[matrix | translation] as int rows over one positive den."""
+        return _linalg.clear([row + (v,) for row, v in zip(self.matrix, self.translation)])
 
     def to_endo(self) -> Endo:
-        n = self.n
-        # the keys of x1..xn, then of the constant; zero coefficients are dropped
-        keys = [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
-        rows = [zip(keys, row + (v,)) for row, v in zip(self.matrix, self.translation)]
-        ratios = [[(k, c.numerator, c.denominator) for k, c in row] for row in rows]
-        return Endo._make(tuple([_from_ratios(n, row) for row in ratios]))
+        return Endo._from_affine_rows(*self._rows())
+
+    def _inverse_endo(self) -> Endo:
+        return Endo._from_affine_rows(*_linalg.invert_affine(*self._rows()))
 
     def inverse(self) -> "AffineMap":
-        return AffineMap._make(*_linalg.invert_affine(self.matrix, self.translation))
+        return AffineMap._from_rows(*_linalg.invert_affine(*self._rows()))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other, matching the endomorphism composition law."""
         return AffineMap.from_endo(self.to_endo().compose(other.to_endo()))
 
 
-def _component(n: int, i: int, a: Fraction, shift: Poly) -> Poly:
-    # a_i*x_i + p_i: the shift never holds the x_i key
-    return Poly._make(n, {_var_key(n, i): a.numerator}, a.denominator) + shift
+def _component(n: int, i: int, p: Poly, a: int, b: int, c: int) -> Poly:
+    # (a*d*x_i + b*P)/(c*d) for p = P/d, in one term map: p never holds x_i's key
+    if c < 0:
+        a, b, c = -a, -b, -c
+    terms = {_var_key(n, i): a * p._den, **{k: v * b for k, v in p._terms.items()}}
+    return Poly._make(n, terms, c * p._den)
 
 
 class TriangularMap(_Value):
@@ -137,8 +150,7 @@ class TriangularMap(_Value):
     @classmethod
     def from_endo(cls, sigma: Endo) -> "TriangularMap":
         """Pop each component's x_i term; the constructor rejects what is not triangular."""
-        scalings = []
-        shifts = []
+        scalings, shifts = [], []
         for i, f in enumerate(sigma.components, start=1):
             terms = dict(f._terms)
             scalings.append(Fraction(terms.pop(_var_key(sigma.n, i), 0), f._den))
@@ -146,19 +158,24 @@ class TriangularMap(_Value):
         return cls(scalings, shifts)
 
     def to_endo(self) -> Endo:
-        pairs = enumerate(zip(self.scalings, self.shifts), start=1)
-        return Endo._make(tuple(_component(self.n, i, a, p) for i, (a, p) in pairs))
+        # a_i*x_i + p_i with a_i = r/s and p_i = P/d is (r*d*x_i + s*P)/(s*d)
+        pairs = enumerate(zip(map(Fraction.as_integer_ratio, self.scalings), self.shifts), 1)
+        return Endo._make(tuple([_component(self.n, i, p, r, s, s) for i, ((r, s), p) in pairs]))
+
+    def _inverse_endo(self) -> Endo:
+        # Back-substitution upward on ints: with a_i = r/s and q = p_i(later images) = Q/d,
+        # component i is (x_i - q)/a_i = (s*d*x_i - s*Q)/(r*d); one _substitute per shift.
+        n, images = self.n, [None] * self.n
+        slots = [_table(x) for x in Poly.variables(n)]  # p_i reads only slots past i
+        for i in range(n - 1, -1, -1):
+            r, s = self.scalings[i].as_integer_ratio()
+            images[i] = _component(n, i + 1, self.shifts[i]._substitute(slots), s, -s, r)
+            slots[i] = _table(images[i])
+        return Endo._make(tuple(images))
 
     def inverse(self) -> "TriangularMap":
-        """Back-substitution upward: component i is x_i/a_i + q_i, q_i = -p_i(y)/a_i."""
-        n = self.n
-        scalings = [1 / a for a in self.scalings]
-        shifts = [None] * n
-        images = Poly.variables(n)  # p_i reads only later images, already inverted
-        for i in range(n - 1, -1, -1):
-            shifts[i] = self.shifts[i].substitute(images) / -self.scalings[i]
-            images[i] = _component(n, i + 1, scalings[i], shifts[i])
-        return TriangularMap(scalings, shifts)
+        """The inverse letter: ``from_endo`` of the int back-substitution."""
+        return TriangularMap.from_endo(self._inverse_endo())
 
     def compose(self, other: "TriangularMap") -> "TriangularMap":
         return TriangularMap.from_endo(self.to_endo().compose(other.to_endo()))
@@ -196,6 +213,7 @@ def _check_exponent(exponent) -> None:
 
 
 def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
+    """The letter gen^exponent, built on ints with no inverse generator (see the module)."""
     _check_exponent(exponent)
     if isinstance(gen, OpaqueGenerator):
         if exponent == 1:
@@ -203,8 +221,7 @@ def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
         if gen.inverse_endo is None:
             raise MissingInverse(f"no inverse registered for {gen.name!r}")
         return gen.inverse_endo
-    mapped = gen if exponent == 1 else gen.inverse()
-    return mapped.to_endo()
+    return gen.to_endo() if exponent == 1 else gen._inverse_endo()
 
 
 class Word(_Value):
@@ -305,7 +322,7 @@ def random_affine(n: int, seed: int | random.Random) -> AffineMap:
     if rng.random() < 0.5:
         while True:
             matrix = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            if _linalg.det(tuple(tuple(Fraction(e) for e in row) for row in matrix)) != 0:
+            if _linalg.det(matrix) != 0:
                 break
     else:
         perm = list(range(n))

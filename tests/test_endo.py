@@ -117,6 +117,14 @@ class TestComposition:
             a = random_point(rng, 2)
             assert composed(a) == sigma(tau(a))
 
+    def test_mul_operator_is_compose(self):
+        sigma, tau = shear2(), Endo([x(2, 1), x(2, 1) + x(2, 2)])
+        assert sigma * tau == sigma.compose(tau)
+        assert tau * sigma == Endo([x(2, 1) + x(2, 2) ** 2, x(2, 1) + x(2, 2) ** 2 + x(2, 2)])
+        assert sigma.__mul__(2) is NotImplemented
+        with pytest.raises(TypeError):
+            sigma * 2
+
     def test_inverse_shear(self):
         sigma = shear2()
         tau = Endo([x(2, 1) - x(2, 2) ** 2, x(2, 2)])

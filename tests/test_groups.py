@@ -3,11 +3,11 @@
 import inspect
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
-from polyauto import Poly
+from polyauto import Poly, _linalg
 from polyauto.degeneration import (
     ClosureSample,
     DegenerationData,
@@ -41,11 +41,33 @@ from polyauto.planefactor import (
     factor_plane,
 )
 from polyauto.selfcheck import SuiteResult
-from test_poly import assert_canonical
+from test_poly import assert_canonical, dict_substitute
 
 
 def x(nvars, i):
     return Poly.variable(nvars, i)
+
+
+def unit_key(n, i):
+    """The key of x_{i+1} among n variables, t slot last."""
+    return tuple(int(j == i) for j in range(n)) + (0,)
+
+
+def fraction_inverse(matrix, vector):
+    """(M^-1, -(M^-1 v)) by plain Fractions: Gauss-Jordan on [M | I | v], test-local."""
+    n = len(matrix)
+    rows = [
+        [Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)] + [Fraction(v)]
+        for i, (row, v) in enumerate(zip(matrix, vector))
+    ]
+    for k in range(n):
+        p = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [a / rows[k][k] for a in rows[k]]
+        for i in range(n):
+            if i != k:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    return [row[n : 2 * n] for row in rows], [-row[2 * n] for row in rows]
 
 
 class TestAffineMap:
@@ -73,26 +95,13 @@ class TestAffineMap:
             assert alpha.compose(alpha.inverse()) == AffineMap.identity(3)
 
     def test_inverse_translation_matches_fraction_oracle(self):
-        # -(A^-1 v) by plain Fractions: Gauss-Jordan on [A | v], test-local
-        def oracle(matrix, vector):
-            n = len(matrix)
-            rows = [list(row) + [v] for row, v in zip(matrix, vector)]
-            for k in range(n):
-                p = next(r for r in range(k, n) if rows[r][k])
-                rows[k], rows[p] = rows[p], rows[k]
-                rows[k] = [a / rows[k][k] for a in rows[k]]
-                for i in range(n):
-                    if i != k:
-                        rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
-            return tuple(-row[n] for row in rows)
-
         rng = random.Random(1212)
         for seed in range(200):
             alpha = random_affine(2 + seed % 3, seed)
             shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(alpha.n)]
             alpha = AffineMap(alpha.matrix, shift)
             inverse = alpha.inverse()
-            assert inverse.translation == oracle(alpha.matrix, shift)
+            assert inverse.translation == tuple(fraction_inverse(alpha.matrix, shift)[1])
             assert all(type(v) is Fraction for v in inverse.translation)
             assert alpha.compose(inverse) == AffineMap.identity(alpha.n)
 
@@ -284,6 +293,164 @@ class TestTriangularMap:
             assert random_affine(3, seed).to_endo().is_affine()
 
 
+def raw_eval(terms, point):
+    """A term map's value at a rational point by plain Fractions (t-free keys)."""
+    total = Fraction(0)
+    for key, c in terms.items():
+        term = Fraction(c)
+        for v, e in zip(point, key):
+            term *= v**e
+        total += term
+    return total
+
+
+def seeded_affine_letters():
+    """Invertible rational affine letters for n = 1..4: every third has a zero
+    translation, and a third of the entries are zero, so elimination swaps rows."""
+    rng = random.Random(2701)
+    letters = []
+    while len(letters) < 80:
+        n = 1 + len(letters) % 4
+        matrix = [
+            [
+                Fraction(0) if rng.random() < 0.3
+                else Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        if _linalg.det(matrix) == 0:
+            continue
+        zero = len(letters) % 3 == 0
+        vector = [0 if zero else Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(n)]
+        letters.append(AffineMap(matrix, vector))
+    return letters
+
+
+def seeded_triangular_letters():
+    """Triangular letters for n = 1..4 with negative and rational scalings, rational shift
+    coefficients, and a zero shift in about a third of the slots."""
+    rng = random.Random(2702)
+    letters = []
+    for k in range(60):
+        n = 1 + k % 4
+        choices = (-2, -1, 1, Fraction(1, 3), Fraction(-3, 2), Fraction(5, 4))
+        scalings = [rng.choice(choices) for _ in range(n)]
+        shifts = []
+        for i in range(1, n + 1):
+            terms = {}
+            if rng.random() < 0.65:
+                for _ in range(rng.randint(1, 3)):
+                    key = [0] * (n + 1)
+                    for _ in range(rng.randint(0, 3)):
+                        if i < n:
+                            key[rng.randrange(i, n)] += 1
+                    terms[tuple(key)] = Fraction(rng.choice((-4, -1, 1, 3)), rng.choice((1, 2, 3)))
+            shifts.append(Poly(n, terms))
+        letters.append(TriangularMap(scalings, shifts))
+    return letters
+
+
+def fraction_triangular_inverse(beta):
+    """The inverse letter's components as term maps over Fractions: back-substitution on
+    plain dicts, x_i -> (x_i - p_i(later images)) / a_i, test-local."""
+    n = beta.n
+    images = Poly.variables(n)
+    out = [None] * n
+    for i in range(n - 1, -1, -1):
+        a = beta.scalings[i]
+        terms = {k: -v / a for k, v in dict_substitute(beta.shifts[i], images).items()}
+        terms[unit_key(n, i)] = 1 / a
+        out[i] = terms
+        images[i] = Poly(n, terms)
+    return out
+
+
+def assert_matches_fraction_poly(f, terms):
+    """f equals, and hashes like, the Poly built from the Fraction term map, and is
+    stored over a positive den sharing no factor with its numerators."""
+    expected = Poly(f.nvars, terms)
+    assert f == expected
+    assert hash(f) == hash(expected)
+    assert f._den > 0
+    assert gcd(f._den, *f._terms.values()) == 1
+
+
+class TestLetterConversion:
+    """generator_to_endo(gen, +-1) on ints, against Fraction oracles: the composed maps
+    at seeded rational points, each component as a Poly built from Fractions, and
+    letter after inverse being exactly the identity."""
+
+    def points(self, n, seed):
+        rng = random.Random(seed)
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                for _ in range(3)]
+
+    def assert_inverse_pair(self, gen):
+        forward, backward = generator_to_endo(gen, 1), generator_to_endo(gen, -1)
+        assert forward.compose(backward) == Endo.identity(gen.n)
+        assert backward.compose(forward) == Endo.identity(gen.n)
+        inv = gen.inverse()
+        assert backward == inv.to_endo()
+        assert inv.inverse() == gen
+
+    def test_affine_letters(self):
+        letters = seeded_affine_letters()
+        pivots = []
+        for k, alpha in enumerate(letters):
+            n = alpha.n
+            rows, _ = _linalg.clear(alpha.matrix)
+            pivots.append(_linalg._eliminate(rows, False)[1])
+            m_inv, v_inv = fraction_inverse(alpha.matrix, alpha.translation)
+            for exponent, (matrix, vector) in (
+                (1, (alpha.matrix, alpha.translation)), (-1, (m_inv, v_inv))
+            ):
+                endo = generator_to_endo(alpha, exponent)
+                for f, row, v in zip(endo.components, matrix, vector):
+                    terms = {unit_key(n, j): c for j, c in enumerate(row)}
+                    terms[(0,) * (n + 1)] = v
+                    assert_matches_fraction_poly(f, terms)
+                for point in self.points(n, k):
+                    image = [sum(map(Fraction.__mul__, row, point)) + v
+                             for row, v in zip(matrix, vector)]
+                    assert endo(point) == tuple(image)
+            self.assert_inverse_pair(alpha)
+        assert {len(alpha.matrix) for alpha in letters} == {1, 2, 3, 4}
+        assert sum(p < 0 for p in pivots) >= 10 and sum(p > 0 for p in pivots) >= 10
+        assert sum(not any(alpha.translation) for alpha in letters) >= 10
+
+    def test_triangular_letters(self):
+        letters = seeded_triangular_letters()
+        for k, beta in enumerate(letters):
+            n = beta.n
+            inverse_terms = fraction_triangular_inverse(beta)
+            forward, backward = generator_to_endo(beta, 1), generator_to_endo(beta, -1)
+            for i, (f, a, shift) in enumerate(zip(forward.components, beta.scalings, beta.shifts)):
+                assert_matches_fraction_poly(f, {**shift.terms(), unit_key(n, i): a})
+            for f, terms in zip(backward.components, inverse_terms):
+                assert_matches_fraction_poly(f, terms)
+            for point in self.points(n, k):
+                image = [
+                    a * point[i] + raw_eval(shift.terms(), point)
+                    for i, (a, shift) in enumerate(zip(beta.scalings, beta.shifts))
+                ]
+                assert forward(point) == tuple(image)
+                # the inverse at the image, by Fraction back-substitution on the point
+                source = list(image)
+                for i in range(n - 1, -1, -1):
+                    shift = raw_eval(beta.shifts[i].terms(), source)
+                    source[i] = (image[i] - shift) / beta.scalings[i]
+                assert source == list(point)
+                assert backward(image) == tuple(point)
+                assert tuple(raw_eval(t, image) for t in inverse_terms) == tuple(point)
+            self.assert_inverse_pair(beta)
+        scalings = [a for beta in letters for a in beta.scalings]
+        assert any(a < 0 and a.denominator > 1 for a in scalings)
+        assert any(a > 0 and a.denominator > 1 for a in scalings)
+        assert sum(p.is_zero for beta in letters for p in beta.shifts) >= 20
+        assert {beta.n for beta in letters} == {1, 2, 3, 4}
+
+
 class TestWord:
     def test_pinned_orientation(self):
         swap = AffineMap.transposition(2, 1, 2)
@@ -398,6 +565,12 @@ class TestWordFormat:
         word = Word([(swap, 1), (shear, -1)])
         text = format_word(word)
         assert text == "A(0 1,1 0;0 0); B(1 1;x2^2,0)^-1"
+
+    def test_str_is_the_format(self):
+        alpha = AffineMap([[Fraction(1, 2), 0], [1, -1]], [3, 0])
+        beta = TriangularMap([-2, 1], [x(2, 2) ** 2 / 3, Poly.const(2, 1)])
+        word = Word([(alpha, 1), (beta, -1)])
+        assert str(word) == format_word(word) == "A(1/2 0,1 -1;3 0); B(-2 1;1/3*x2^2,1)^-1"
 
 
 def value_cases():

@@ -3,7 +3,8 @@
 The determinant is checked against the Leibniz permutation sum over
 Fractions, the inverse by multiplying back to the identity on both sides.
 The matrices mix denominators and place zeros so that elimination meets
-zero pivots and must swap rows.
+zero pivots and must swap rows.  A matrix is inverted through the int core,
+``invert_affine``, as the linear map x -> mx.
 """
 
 import random
@@ -14,6 +15,15 @@ import pytest
 
 from polyauto import _linalg
 from polyauto.errors import DimensionError
+
+
+def invert(m):
+    """m^-1 from invert_affine on m's rows cleared to ints, with a zero translation: the
+    result must be int rows over a positive den, with a zero translation again."""
+    rows, den = _linalg.invert_affine(*_linalg.clear([row + (0,) for row in m]))
+    assert den > 0 and all(type(v) is int for row in rows for v in row)
+    assert all(row[-1] == 0 for row in rows)
+    return tuple(tuple(Fraction(v, den) for v in row[:-1]) for row in rows)
 
 
 def leibniz_det(m):
@@ -101,10 +111,9 @@ def test_inverse_multiplies_back_to_identity():
     for m in seeded_cases() + SWAP_CASES:
         if leibniz_det(m) == 0:
             with pytest.raises(ZeroDivisionError):
-                _linalg.invert(m)
+                invert(m)
             continue
-        inv = _linalg.invert(m)
-        assert all(type(v) is Fraction for row in inv for v in row)
+        inv = invert(m)
         assert product(m, inv) == identity(len(m))
         assert product(inv, m) == identity(len(m))
         checked += 1
@@ -115,7 +124,7 @@ def test_inverse_multiplies_back_to_identity():
 def test_singular_matrix(m):
     assert _linalg.det(m) == 0
     with pytest.raises(ZeroDivisionError):
-        _linalg.invert(m)
+        invert(m)
 
 
 def test_non_square_rejected():
@@ -123,4 +132,4 @@ def test_non_square_rejected():
     with pytest.raises(DimensionError):
         _linalg.det(m)
     with pytest.raises(DimensionError):
-        _linalg.invert(m)
+        invert(m)
