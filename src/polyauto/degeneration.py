@@ -13,8 +13,10 @@ and clearing the resulting powers of t exactly yields a curve of maps with
 polynomial entries in x and t.  Every specialization at t0 != 0 is a
 conjugate of psi (same degree, same Jacobian), while the value at t = 0 is
 the elementary shear (x1 + h, x2, ..., xn).  The module computes the curve
-and its limit, cross-checks the limit against the shear formula, and
-produces exact verification reports and per-sample closure witnesses.
+(``_curve``, the one place that pairs those two stages) and its limit,
+cross-checks the limit against the shear formula, and produces exact
+verification reports and per-sample closure witnesses.  :class:`TorusAction`
+alone rejects the sample t0 = 0; it holds each factor t0^w as an int pair.
 
 Failure modes are informative by design: a vanishing restriction at x1 = 0
 or an inexact division by t certifies that the input was not an
@@ -42,12 +44,7 @@ from .errors import (
 )
 from ._linalg import invert_affine
 from .groups import AffineMap
-from .poly import Poly, Scalar, _as_fraction
-
-
-def tail_indices(n: int) -> set[int]:
-    """The trailing variable indices 2..n."""
-    return set(range(2, n + 1))
+from .poly import Poly, Scalar, _as_fraction, _ratio
 
 
 class TorusAction(_Value):
@@ -70,15 +67,18 @@ class TorusAction(_Value):
         """The exponent of t in each slot's factor: (weight, 1, ..., 1)."""
         return (self.weight,) + (1,) * (self.n - 1)
 
-    def _scalings(self, t0: Scalar) -> list[Fraction]:
-        value = _as_fraction(t0)
-        if value == 0:
-            raise InvalidSample("the torus action is not invertible at t = 0", {"sample": "0"})
-        return [value if w == 1 else value**w for w in self._weights]  # no Fraction for t0**1
+    def _scalings(self, t0: Scalar) -> list[tuple[int, int]]:
+        """Each slot's factor t0^w as an int pair (p^w, q^w), for t0 = p/q in lowest terms
+        with q > 0, so again in lowest terms; the one place that rejects t0 = 0."""
+        p, q = _ratio(t0)
+        if p == 0:
+            message = "closure samples must be nonzero; t = 0 is the limit, not a sample"
+            raise InvalidSample(message, {"sample": "0"})
+        return [(p**w, q**w) for w in self._weights]
 
     def at(self, t0: Scalar) -> AffineMap:
         """The invertible diagonal map at a nonzero parameter value."""
-        return AffineMap.diagonal(self._scalings(t0))
+        return AffineMap.diagonal([Fraction(a, b) for a, b in self._scalings(t0)])
 
     def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
         """at(t0)^-1 after psi after at(t0), with no map built: component i of psi with each
@@ -86,8 +86,8 @@ class TorusAction(_Value):
         if psi.n != self.n:
             raise DimensionError(f"torus on {self.n} variables, map on {psi.n}")
         scalings = self._scalings(t0)
-        moved = [(j, *s.as_integer_ratio()) for j, s in enumerate(scalings) if s != 1]
-        over = [(1 / s).as_integer_ratio() for s in scalings]
+        moved = [(j, a, b) for j, (a, b) in enumerate(scalings) if a != b]
+        over = [(b, a) if a > 0 else (-b, -a) for a, b in scalings]  # 1/s_i, denominator > 0
         return Endo._make(tuple([f._regrade(moved, o) for f, o in zip(psi.components, over)]))
 
 
@@ -130,7 +130,7 @@ class DegenerationData(_Value):
             raise ConsistencyError("degeneration data needs a nonzero obstruction")
         if not 2 <= valuation <= source_degree:
             raise ConsistencyError(f"valuation {valuation} outside [2, {source_degree}]")
-        expected = obstruction.homogeneous_component(tail_indices(obstruction.nvars), valuation)
+        expected = obstruction.homogeneous_component(range(2, obstruction.nvars + 1), valuation)
         if limit_shear != expected or limit_shear.is_zero:
             raise ConsistencyError("limit shear disagrees with the obstruction")
         self.obstruction, self.valuation = obstruction, valuation
@@ -255,17 +255,15 @@ def degeneration_data(psi: Endo) -> DegenerationData:
     certificate.
     """
     degree = _check_normalized(psi)
-    n = psi.n
     # the restriction to x1 = 0 keeps the terms free of x1
-    first = psi.components[0]
-    obstruction = Poly._make(n, {k: c for k, c in first._terms.items() if k[0] == 0}, first._den)
+    obstruction = psi.components[0].homogeneous_component([1], 0)
     if obstruction.is_zero:
         raise NotACoordinate(
             "first component vanishes at x1 = 0, so it is divisible by x1 "
             "and cannot be a coordinate; the input is not an automorphism",
             {"endo": str(psi), "first_component": str(psi.components[0])},
         )
-    tail = tail_indices(n)
+    tail = range(2, psi.n + 1)
     valuation = obstruction.valuation_in(tail)
     shear = obstruction.homogeneous_component(tail, valuation)
     return DegenerationData(obstruction, valuation, shear, degree)
@@ -321,8 +319,13 @@ def degenerate(psi: Endo) -> Endo:
     curve must agree exactly; disagreement would mean the congruence
     underlying the construction failed, so it raises instead of returning.
     """
+    return _checked_limit(*_curve(psi))
+
+
+def _curve(psi: Endo) -> tuple[DegenerationData, ParamEndo]:
+    """The data of a normalized map and its torus curve: the one place the stages pair."""
     data = degeneration_data(psi)
-    return _checked_limit(data, torus_conjugate(psi, data.valuation))
+    return data, torus_conjugate(psi, data.valuation)
 
 
 def _checked_limit(data: DegenerationData, curve: ParamEndo) -> Endo:
@@ -330,10 +333,7 @@ def _checked_limit(data: DegenerationData, curve: ParamEndo) -> Endo:
     triangular and non-affine.  Every limit passes through here: degenerate and
     witness_report, hence triangular_witness and the CLI verbs."""
     n = curve.n
-    formula = Endo(
-        [Poly.variable(n, 1) + data.limit_shear]
-        + [Poly.variable(n, i) for i in range(2, n + 1)]
-    )
+    formula = Endo([Poly.variable(n, 1) + data.limit_shear, *Poly.variables(n)[1:]])
     limit = curve.specialize(0)
     if formula != limit:
         raise ConsistencyError(
@@ -368,40 +368,31 @@ def verify_limit(curve: ParamEndo, limit: Endo) -> LimitReport:
 def closure_witness(phi: Endo | WitnessReport, samples: Sequence[Scalar]) -> list[ClosureSample]:
     """Specializations of the normalized conjugate curve at nonzero samples.
 
-    phi is a raw map, or a WitnessReport whose normalized map psi, data and curve
-    are sampled as they stand, with no stage run again.  Each sample is checked
-    before it is emitted: its image must have the degree of psi and must equal
-    torus_map^-1 after psi after torus_map, which is checked from psi alone, not
-    from the curve: TorusAction.conjugate regrades psi's int numerators, so no
-    Fraction of the conjugate is built.
+    phi is a raw map, taken through normalize and _curve (not the limit stages), or
+    a WitnessReport whose normalized map psi, data and curve are sampled as they
+    stand, with no stage run again.  Each sample is checked before it is emitted:
+    its image must have the degree of psi and equal torus_map^-1 after psi after
+    torus_map, computed first and from psi alone by TorusAction.conjugate on psi's
+    int numerators, which raises InvalidSample on t0 = 0 before the curve is touched.
     """
     if isinstance(phi, WitnessReport):
         psi, data, curve = phi.normalization.result, phi.data, phi.curve
     else:
         psi = normalize(phi).result
-        data = degeneration_data(psi)
-        curve = torus_conjugate(psi, data.valuation)
+        data, curve = _curve(psi)
     action = TorusAction(psi.n, data.valuation)
     out = []
     for raw in samples:
         value = _as_fraction(raw)
-        if value == 0:
-            raise InvalidSample(
-                "closure samples must be nonzero; t = 0 is the limit, not a sample",
-                {"sample": str(raw)},
-            )
-        image = curve.specialize(value)
         # a second way to the image: regrade psi's x-slots by t0^w and t0, over slot i's factor
         # in component i; the curve's t-exponents come from torus_conjugate, and with_t_set
         # sets t = t0
-        if image != action.conjugate(psi, value):
-            raise ConsistencyError(
-                f"specialization at t = {value} is not the expected conjugate"
-            )
+        expected = action.conjugate(psi, value)
+        image = curve.specialize(value)
+        if image != expected:
+            raise ConsistencyError(f"specialization at t = {value} is not the expected conjugate")
         if image.degree() != data.source_degree:
-            raise ConsistencyError(
-                f"specialization at t = {value} changed the degree"
-            )
+            raise ConsistencyError(f"specialization at t = {value} changed the degree")
         out.append(ClosureSample(value, image, action.at(value)))
     return out
 
@@ -427,9 +418,7 @@ class WitnessReport(_Value):
 def witness_report(phi: Endo) -> WitnessReport:
     """Run the full pipeline on a raw map and bundle the results."""
     record = normalize(phi)
-    psi = record.result
-    data = degeneration_data(psi)
-    curve = torus_conjugate(psi, data.valuation)
+    data, curve = _curve(record.result)
     witness = _checked_limit(data, curve)
     report = verify_limit(curve, witness)
     if not report.passed:

@@ -28,7 +28,7 @@ from typing import Sequence
 from . import _linalg
 from .errors import DegenerateInput, DimensionError, FiltrationError
 from .poly import NEG_INF, Poly, Scalar, _as_fraction, _layout, _packed_product
-from .poly import _table, _var_key
+from .poly import _count, _table, _var_key
 
 # poly_det packs one slot densely only while its degree bound stays within
 # this many times the matrix's term count: a dense value holds a field for
@@ -98,7 +98,7 @@ class CoeffVector(_Value):
     _fields = ("n", "d", "entries")
 
     def __init__(self, n: int, d: int, entries: Sequence[Fraction]):
-        expected = n * comb(n + d, d)
+        expected = _count(n, "n", 1) * comb(n + _count(d, "d", 0), d)
         entries = tuple(_as_fraction(e) for e in entries)
         if len(entries) != expected:
             raise FiltrationError(
@@ -257,6 +257,7 @@ class Endo(_PolyTuple):
 
     def coeff_vector(self, d: int) -> CoeffVector:
         """Linear encoding of an endomorphism of degree <= d."""
+        _count(d, "d", 0)
         if (top := self._top_degree()) > d:  # the all-zero map's NEG_INF is in every filtration
             raise FiltrationError(
                 f"degree {top} endomorphism does not lie in the degree-{d} filtration"

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Union
 from . import _linalg
 from .endo import Endo, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import Poly, Scalar, _as_fraction, _table, _var_key
+from .poly import Poly, Scalar, _as_fraction, _count, _slot, _table, _var_key
 
 
 class AffineMap(_Value):
@@ -60,10 +60,9 @@ class AffineMap(_Value):
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "AffineMap":
         """The permutation swapping x_i and x_j (self-inverse)."""
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise DimensionError(f"transposition indices must lie in 1..{n}")
+        i, j = _slot(_count(n, "n", 1), i), _slot(n, j)  # 0-based, once checked
         perm = list(range(n))
-        perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+        perm[i], perm[j] = perm[j], perm[i]
         base = cls.identity(n)  # permuted rows of the identity are invertible: no elimination
         return cls._make(tuple(base.matrix[p] for p in perm), base.translation)
 
@@ -83,11 +82,10 @@ class AffineMap(_Value):
 
     @classmethod
     def from_endo(cls, sigma: Endo) -> "AffineMap":
-        """The affine map of a degree-one endomorphism; the constructor rejects a singular one."""
-        if sigma._top_degree() != 1:
-            raise DimensionError("endomorphism is not an affine map")
-        alpha = cls._from_rows(*sigma._affine_rows())
-        return cls(alpha.matrix, alpha.translation)
+        """The affine map of a degree-one endomorphism with an invertible linear part."""
+        if not sigma.is_affine():
+            raise DimensionError("endomorphism is not an invertible affine map")
+        return cls._from_rows(*sigma._affine_rows())
 
     def _rows(self) -> tuple[list[list[int]], int]:
         """[matrix | translation] as int rows over one positive den."""
@@ -192,6 +190,9 @@ class OpaqueGenerator(_Value):
     _fields = ("name", "endo", "inverse_endo")
 
     def __init__(self, name: str, endo: Endo, inverse_endo: Endo | None = None):
+        for value in (endo, inverse_endo):
+            if value is not None and not isinstance(value, Endo):
+                raise DimensionError(f"an opaque generator wraps Endos, not {type(value).__name__}")
         if inverse_endo is not None:
             if endo.compose(inverse_endo) != Endo.identity(endo.n):
                 raise ConsistencyError(
@@ -234,9 +235,10 @@ class Word(_Value):
         letters = tuple((gen, exp) for gen, exp in letters)
         if not letters:
             raise DimensionError("a word needs at least one letter")
-        n = letters[0][0].n
-        for gen, exp in letters:
-            if gen.n != n:
+        for gen, exp in letters:  # the first letter is checked before its n is read
+            if not isinstance(gen, (AffineMap, TriangularMap, OpaqueGenerator)):
+                raise DimensionError(f"a word letter needs a generator, not {type(gen).__name__}")
+            if gen.n != letters[0][0].n:
                 raise DimensionError("all letters must act on the same variables")
             _check_exponent(exp)
             if (
@@ -247,8 +249,7 @@ class Word(_Value):
                 raise MissingInverse(
                     f"letter {gen.name!r}^-1 needs an inverse registered at construction"
                 )
-        self.n = n
-        self.letters = letters
+        self.n, self.letters = letters[0][0].n, letters
 
     def to_endo(self) -> Endo:
         # Fold from the right: each step substitutes the accumulated (large)
@@ -318,6 +319,7 @@ def _rng(seed: int | random.Random) -> random.Random:
 
 
 def random_affine(n: int, seed: int | random.Random) -> AffineMap:
+    _count(n, "n", 1)
     rng = _rng(seed)
     if rng.random() < 0.5:
         while True:
@@ -350,8 +352,8 @@ def _random_shift(rng: random.Random, n: int, lowest: int, dmax: int) -> Poly:
 
 
 def random_triangular(n: int, seed: int | random.Random, dmax: int) -> TriangularMap:
-    if dmax < 1:
-        raise DimensionError("dmax must be at least 1")
+    _count(n, "n", 1)
+    _count(dmax, "dmax", 1)
     rng = _rng(seed)
     scalings = [Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(n)]
     shifts = [_random_shift(rng, n, i + 1, dmax) for i in range(1, n + 1)]
@@ -368,10 +370,9 @@ def random_tame_word(
     :meth:`Word.inverse`, whose triangular letters may have higher degree
     than the originals.
     """
-    if n < 1:
-        raise DimensionError("n must be at least 1")
-    if length < 1:
-        raise DimensionError("word length must be at least 1")
+    _count(n, "n", 1)
+    _count(length, "word length", 1)
+    _count(dmax, "dmax", 1)
     rng = _rng(seed)
     start_affine = rng.random() < 0.5
     letters: list[tuple[Generator, int]] = []

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .endo import Endo
 from .errors import ParseError
-from .poly import Poly, _from_ratios, _nvars, _var_key
+from .poly import Poly, _count, _from_ratios, _var_key
 
 _TOKEN = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^(),\[\]])|(?P<bad>\S)"
@@ -122,7 +122,7 @@ class _PolyParser:
         self.nvars = nvars
         self.noun = noun
         self.t_error = t_error
-        self.constant = (0,) * (_nvars(nvars) + 1)  # the key of a constant
+        self.constant = (0,) * (_count(nvars, "nvars", 0) + 1)  # the key of a constant
 
     def parse_expr(self) -> Poly:
         """The sum of the terms as (key, numerator, denominator) triples, summed over one

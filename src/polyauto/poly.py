@@ -67,13 +67,14 @@ def _ratio(value: Scalar) -> tuple[int, int]:
     return (int(value), 1) if isinstance(value, int) else _as_fraction(value).as_integer_ratio()
 
 
-def _nvars(nvars: int) -> int:
-    """nvars once checked: an int (not 2.0 or True), at least 0."""
-    if type(nvars) is not int:
-        raise DimensionError(f"nvars must be an int, got {nvars!r}")
-    if nvars < 0:
-        raise DimensionError("nvars must be non-negative")
-    return nvars
+def _count(value: int, name: str, least: int) -> int:
+    """A structural int such as nvars, once checked: an int (not 2.0 or True), >= least."""
+    if type(value) is not int:
+        raise DimensionError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise DimensionError(f"{name} must be {bound}")
+    return value
 
 
 def _slot(nvars: int, index: int) -> int:
@@ -155,7 +156,7 @@ class Poly:
     __slots__ = ("nvars", "_den", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, Scalar] | None = None):
-        _nvars(nvars)
+        _count(nvars, "nvars", 0)
         triples = []
         for key, coeff in (terms or {}).items():
             key = tuple(key)
@@ -187,23 +188,23 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls._make(_nvars(nvars), {})
+        return cls._make(_count(nvars, "nvars", 0), {})
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "Poly":
         num, den = _ratio(value)
-        return cls._make(_nvars(nvars), {(0,) * (nvars + 1): num} if num else {}, den)
+        return cls._make(_count(nvars, "nvars", 0), {(0,) * (nvars + 1): num} if num else {}, den)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
         """The polynomial x_index, with 1-based index."""
-        _slot(_nvars(nvars), index)
+        _slot(_count(nvars, "nvars", 0), index)
         return cls._make(nvars, {_var_key(nvars, index): 1})
 
     @classmethod
     def t(cls, nvars: int) -> "Poly":
         """The parameter t as a polynomial."""
-        key = (0,) * _nvars(nvars) + (1,)
+        key = (0,) * _count(nvars, "nvars", 0) + (1,)
         return cls._make(nvars, {key: 1})
 
     @classmethod
@@ -549,16 +550,13 @@ class Poly:
             return hash(self.constant_term())
         return hash((self.nvars, self._den, frozenset(self._terms.items())))
 
-    def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
-        """Terms in descending graded-lexicographic order, x1 > ... > xn > t."""
-        return sorted(self.terms().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         chunks: list[str] = []
         try:
-            for key, coeff in self.sorted_terms():
+            terms = sorted(self.terms().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+            for key, coeff in terms:  # descending graded-lexicographic order, x1 > ... > xn > t
                 factors = []
                 for i in range(self.nvars):
                     e = key[i]

@@ -1,7 +1,9 @@
 """Tests for the command-line front end."""
 
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -266,9 +268,14 @@ class TestCurve:
         assert err.startswith("parse error:") and f"(at position {position})" in err
 
     def test_zero_sample_rejected(self, capsys):
-        code, out, _ = run_cli(capsys, "curve", "--samples", "0", "[x1 + x2^2, x2]")
-        assert code == 2
-        assert "InvalidSample" in out
+        # the certificate of TorusAction._scalings, the one zero check, as the library raises it
+        for samples in ("0", "0/7", "2,0"):
+            code, out, _ = run_cli(capsys, "curve", "--samples", samples, "[x1 + x2^2, x2]")
+            assert code == 2
+            assert out == (
+                "InvalidSample: closure samples must be nonzero; t = 0 is the limit, not a sample\n"
+                "  sample: 0\n"
+            )
 
     def test_json_contains_report_keys(self, capsys):
         code, out, _ = run_cli(
@@ -660,6 +667,54 @@ class TestTranscript:
     @pytest.mark.parametrize("argv, code, err, out", [r[1:] for r in ROWS], ids=[r[0] for r in ROWS])
     def test_matches_recorded_output(self, capsys, argv, code, err, out):
         assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def readme_commands() -> dict:
+    """Each polyauto line of README's command-line block, mapped to (argv per pipeline stage,
+    expected exit code, expected stdout lines): a comment saying "exit 2" expects 2, and the
+    comment lines indented under a command ("#   ...") are its stdout."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as readme:
+        section = readme.read().split("## Command-line usage", 1)[1]
+    commands, lines = {}, []
+    for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines():
+        if line.startswith("polyauto "):
+            stages = [shlex.split(stage, comments=True) for stage in line.split(" | ")]
+            assert all(argv[0] == "polyauto" for argv in stages), line
+            lines = []
+            commands[line] = ([argv[1:] for argv in stages], 2 if "# exit 2" in line else 0, lines)
+        elif line.startswith("#   "):
+            lines.append(line[len("#   ") :])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+class TestReadme:
+    """README's command-line block runs as documented through cli.main, each stage's stdout
+    piped into the next stage's stdin; CI's smoke step runs it through the console script."""
+
+    def test_block_is_found(self):
+        assert len(README_COMMANDS) == 9
+        assert [code for _, code, _ in README_COMMANDS.values()].count(2) == 1
+        assert README_COMMANDS['polyauto degenerate "[x1, x2 + x1^2]"'] == (
+            [["degenerate", "[x1, x2 + x1^2]"]], 0, ["witness: [x2^2 + x1, x2]", "w = 2"]
+        )
+        assert README_COMMANDS["polyauto nagata | polyauto curve --samples 1,-1,1/2 -"][0] == (
+            [["nagata"], ["curve", "--samples", "1,-1,1/2", "-"]]
+        )
+
+    @pytest.mark.parametrize("line", list(README_COMMANDS))
+    def test_command_runs_as_documented(self, capsys, monkeypatch, line):
+        stages, code, lines = README_COMMANDS[line]
+        out = ""
+        for argv in stages:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, "")
+        assert out.endswith("\n") and out.strip()
+        if lines:
+            assert out.splitlines() == lines
 
 
 class TestImportIsolation:

@@ -511,6 +511,82 @@ class TestClosureWitness:
             closure_witness(corrupted, [t0])
 
 
+ZERO_SAMPLE = "closure samples must be nonzero; t = 0 is the limit, not a sample"
+
+
+class TestSingleOwners:
+    """TorusAction._scalings alone rejects t0 = 0 and owns the int factors; _curve alone
+    pairs degeneration_data with torus_conjugate."""
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)], ids=repr)
+    def test_zero_sample_is_one_error_raised_before_any_specialization(self, monkeypatch, zero):
+        forward = nagata()[0]
+        report = witness_report(forward)
+        specialize = ParamEndo.specialize
+
+        def guarded(curve, value):
+            # the map's pipeline specializes its curve at t = 1 only
+            if value != 1:
+                raise AssertionError(f"the curve was specialized at t = {value}")
+            return specialize(curve, value)
+
+        monkeypatch.setattr(ParamEndo, "specialize", guarded)
+        action = TorusAction(3, 3)
+        entry_points = {
+            "at": lambda: action.at(zero),
+            "conjugate": lambda: action.conjugate(forward, zero),
+            "closure_witness(map)": lambda: closure_witness(forward, [zero]),
+            "closure_witness(report)": lambda: closure_witness(report, [zero]),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(InvalidSample) as info:
+                call()
+            assert (str(info.value), info.value.certificate) == (ZERO_SAMPLE, {"sample": "0"}), name
+
+    def test_the_action_is_the_only_zero_check(self, monkeypatch):
+        # with the action's factors replaced, closure_witness reaches them at t0 = 0 unchecked
+        class Reached(Exception):
+            pass
+
+        def scalings(action, t0):
+            raise Reached(t0)
+
+        forward = nagata()[0]
+        report = witness_report(forward)
+        monkeypatch.setattr(TorusAction, "_scalings", scalings)
+        for source in (forward, report):
+            with pytest.raises(Reached):
+                closure_witness(source, [0])
+
+    @pytest.mark.parametrize(
+        "t0", [2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 5)], ids=str
+    )
+    @pytest.mark.parametrize("weight", [2, 3, 4])
+    def test_scalings_are_the_powers_as_int_pairs(self, t0, weight):
+        action = TorusAction(3, weight)
+        pairs = action._scalings(t0)
+        powers = [Fraction(t0) ** w for w in (weight, 1, 1)]
+        assert pairs == [power.as_integer_ratio() for power in powers]
+        assert all(type(a) is int and type(b) is int for a, b in pairs)
+        assert action.at(t0) == AffineMap.diagonal(powers)
+
+    def test_every_entry_point_pairs_the_stages_through_curve(self, monkeypatch):
+        calls = []
+        pair = polyauto.degeneration._curve
+
+        def counted(psi):
+            calls.append(psi)
+            return pair(psi)
+
+        monkeypatch.setattr(polyauto.degeneration, "_curve", counted)
+        forward = nagata()[0]
+        degenerate(forward)
+        witness_report(forward)
+        closure_witness(forward, [2])
+        closure_witness(witness_report(forward), [2])
+        assert calls == [forward] * 4
+
+
 class TestNumeratorCheck:
     """closure_witness compares each sample image with the conjugate regraded on psi's int
     numerators, over one denominator; every corrupted image must fail that comparison."""

@@ -653,6 +653,21 @@ class TestCoeffVector:
         with pytest.raises(FiltrationError):
             CoeffVector(2, 1, [Fraction(1)] * 5)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, -1], ids=repr)
+    def test_coeff_vector_degree_is_an_exact_int(self, bad):
+        # True and 2.0 would build d=True and d=2.0; -1 fits no filtration, not even zero's
+        message = "^d must be non-negative$" if bad == -1 else f"^d must be an int, got {bad!r}$"
+        for sigma in (Endo.identity(2), Endo([Poly.zero(2), Poly.zero(2)])):
+            with pytest.raises(DimensionError, match=message):
+                sigma.coeff_vector(bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("slot", ["n", "d"])
+    def test_coeff_vector_fields_are_exact_ints(self, slot, bad):
+        args = {"n": 1, "d": 1, "entries": [0, 1], slot: bad}
+        with pytest.raises(DimensionError, match=f"^{slot} must be an int, got {bad!r}$"):
+            CoeffVector(**args)
+
 
 class TestDegreeUnderConjugation:
     def test_linear_conjugation_preserves_degree(self):

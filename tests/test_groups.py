@@ -196,8 +196,41 @@ class TestAffineMap:
         ],
     )
     def test_from_endo_rejections(self, components):
-        with pytest.raises(DimensionError):
-            AffineMap.from_endo(Endo(components))
+        # one test, Endo.is_affine, for the degree and the linear part alike
+        sigma = Endo(components)
+        assert not sigma.is_affine()
+        with pytest.raises(DimensionError, match="^endomorphism is not an invertible affine map$"):
+            AffineMap.from_endo(sigma)
+
+    def test_from_endo_equals_the_validating_constructor(self, monkeypatch):
+        # from_endo builds past the constructor; it must build the value the constructor would,
+        # read here coefficient by coefficient
+        rng = random.Random(2028)
+        endos = [random_affine(rng.randint(1, 4), rng).to_endo() for _ in range(50)]
+        expected = []
+        for endo in endos:
+            n = endo.n
+            units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+            matrix = [[f.coefficient(unit) for unit in units] for f in endo.components]
+            expected.append(AffineMap(matrix, [f.constant_term() for f in endo.components]))
+
+        def forbidden(*args):
+            raise AssertionError("from_endo must not rerun the constructor's checks")
+
+        monkeypatch.setattr(AffineMap, "__init__", forbidden)
+        for endo, checked in zip(endos, expected):
+            alpha = AffineMap.from_endo(endo)
+            assert alpha == checked and hash(alpha) == hash(checked) and alpha.n == endo.n
+            assert all(type(e) is Fraction for row in alpha.matrix for e in row)
+            assert all(type(v) is Fraction for v in alpha.translation)
+            assert alpha.to_endo() == endo
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("slot", ["n", "i", "j"])
+    def test_transposition_takes_exact_ints(self, slot, bad):
+        args = {"n": 2, "i": 1, "j": 2, slot: bad}
+        with pytest.raises(DimensionError, match=f"must be an int, got {bad!r}$"):
+            AffineMap.transposition(**args)
 
 
 class TestTriangularMap:
@@ -505,6 +538,21 @@ class TestWord:
         word = Word([(gen, 1), (gen, -1)])
         assert word.to_endo() == Endo.identity(3)
 
+    @pytest.mark.parametrize(
+        "letter", [Endo.identity(2), Poly.zero(2), 2], ids=lambda v: type(v).__name__
+    )
+    def test_letters_must_be_generators(self, letter):
+        # first or later, a letter that is not a generator is named, not read for its n
+        for letters in ([(letter, 1)], [(AffineMap.identity(2), 1), (letter, 1)]):
+            with pytest.raises(DimensionError, match=f"not {type(letter).__name__}$"):
+                Word(letters)
+
+    def test_opaque_generator_wraps_endos(self):
+        with pytest.raises(DimensionError, match="not Poly$"):
+            OpaqueGenerator("g", Poly.zero(2))
+        with pytest.raises(DimensionError, match="not Word$"):
+            OpaqueGenerator("g", Endo.identity(2), random_tame_word(2, 0, 1, 2))
+
 
 class TestSamplers:
     def test_determinism(self):
@@ -527,6 +575,35 @@ class TestSamplers:
     def test_dimension_below_one_names_n(self, n):
         with pytest.raises(DimensionError, match="^n must be at least 1$"):
             random_tame_word(n, 1, 4, 3)
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("slot, name", [(0, "n"), (2, "word length"), (3, "dmax")])
+    def test_random_tame_word_takes_exact_ints(self, slot, name, bad):
+        # True would pass for 1 and 2.0 for 2; a float randint bound is deprecated.  Seed 1
+        # draws a one-letter word that is affine, so no triangular letter checks dmax for it
+        for seed in (0, 1):
+            args = [2, seed, 1, 2]
+            args[slot] = bad
+            with pytest.raises(DimensionError, match=f"^{name} must be an int, got {bad!r}$"):
+                random_tame_word(*args)
+
+    def test_dmax_is_checked_without_a_triangular_letter(self):
+        assert isinstance(random_tame_word(2, 1, 1, 2).letters[0][0], AffineMap)
+        with pytest.raises(DimensionError, match="^dmax must be at least 1$"):
+            random_tame_word(2, 1, 1, 0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+    def test_random_affine_takes_an_exact_int(self, bad):
+        with pytest.raises(DimensionError, match=f"^n must be an int, got {bad!r}$"):
+            random_affine(bad, 1)
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=repr)
+    @pytest.mark.parametrize("slot, name", [(0, "n"), (2, "dmax")])
+    def test_random_triangular_takes_exact_ints(self, slot, name, bad):
+        args = [2, 1, 2]
+        args[slot] = bad
+        with pytest.raises(DimensionError, match=f"^{name} must be an int, got {bad!r}$"):
+            random_triangular(*args)
 
     def test_sampled_words_have_constant_nonzero_jacobian(self):
         for seed in range(100):
