@@ -30,7 +30,7 @@ from math import inf
 from operator import mul
 from typing import Sequence
 
-from .endo import Endo, _PolyTuple, _Value
+from .endo import Endo, _combine, _PolyTuple, _Value
 from .errors import (
     ConsistencyError,
     DegenerateInput,
@@ -210,7 +210,7 @@ def normalize(phi: Endo) -> NormalizationRecord:
                 {"endo": str(phi), "affine_part": str(phi.affine_part())},
             )
         affine_inverse = AffineMap._from_rows(*rows)
-        corrected = Endo._from_affine_rows(*rows).compose(phi)
+        corrected = Endo._make(_combine(phi.components, *rows))
     moving = next(
         (i for i, f in enumerate(corrected.components, 1) if f != Poly.variable(phi.n, i)), None
     )

@@ -42,6 +42,25 @@ def _affine_keys(n: int) -> list[tuple]:
     return [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
 
 
+def _combine(images: Sequence[Poly], rows: list[list[int]], den: int) -> tuple:
+    """(A g + u)/den for int rows [A | u], den > 0: per row one int sum of a_j * m/d_j times
+    the numerator of each image g_j over d_j, plus u * m, over den * m for m = lcm(d_j)."""
+    nvars, m, out = images[0].nvars, lcm(*(g._den for g in images)), []
+    for *coeffs, u in rows:
+        picked = [(a, g) for a, g in zip(coeffs, images) if a]
+        if not u and len(picked) == 1 and picked[0][0] == den:  # the row den * e_j: g_j itself
+            out.append(picked[0][1])
+            continue
+        acc = {(0,) * (nvars + 1): u * m} if u else {}
+        get = acc.get
+        for a, g in picked:
+            a *= m // g._den
+            for k, c in g._terms.items():
+                acc[k] = get(k, 0) + a * c
+        out.append(Poly._make(nvars, {k: c for k, c in acc.items() if c}, den * m))
+    return tuple(out)
+
+
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All x-exponent tuples of total degree <= degree, in the frozen order.
 
@@ -160,18 +179,16 @@ class Endo(_PolyTuple):
     # -- monoid structure ----------------------------------------------------
 
     def compose(self, other: "Endo") -> "Endo":
-        """Substitution product; acts on points as self after other.  If self is a scaled
-        permutation (components c*x_j), component i is c*other_j, scaled by Poly._regrade:
-        other_j itself when c = 1.  Every other shape goes through Poly._substitute, with
-        one table per component of other and none for t, which no component mentions."""
+        """Substitution product; acts on points as self after other.  If self has degree at most
+        one (affine, constant or zero components), each component is one int linear combination
+        of other's components by its affine row (``_combine``); otherwise Poly._substitute runs
+        with one table per component of other and none for t, which no component mentions."""
         if not isinstance(other, Endo):
             raise DimensionError("can only compose with another endomorphism")
         if self.n != other.n:
             raise DimensionError(f"cannot compose maps on {self.n} and {other.n} variables")
-        if all(len(f._terms) == 1 and sum(next(iter(f._terms))) == 1 for f in self.components):
-            heads = [(*next(iter(f._terms.items())), f._den) for f in self.components]
-            images = [(other.components[k.index(1)], (c, den)) for k, c, den in heads]
-            return Endo._make(tuple([g._regrade([], ratio) for g, ratio in images]))
+        if self._top_degree() <= 1:
+            return Endo._make(_combine(other.components, *self._affine_rows()))
         slots = [_table(g) for g in other.components]
         return Endo._make(tuple([f._substitute(slots) for f in self.components]))
 

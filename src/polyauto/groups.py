@@ -10,7 +10,8 @@ endomorphism folds the composition from the right, so the substitution work alwa
 a large inner map into a small outer letter; this keeps exact arithmetic tractable for
 long words.  An affine or triangular letter, and its inverse, is built on int numerators
 over one den with no Fraction: the affine inverse from ``_linalg.invert_affine``'s rows,
-the triangular one by back-substitution through ``Poly._substitute``.
+the triangular one by back-substitution through ``Poly._substitute``.  An affine letter
+past the first enters the fold as those int rows (``endo._combine``): no letter Endo is built.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
 and default repr come from ``endo._Value`` alone, as for every value and record type, and
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from . import _linalg
-from .endo import Endo, _Value
+from .endo import Endo, _combine, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
 from .poly import Poly, Scalar, _as_fraction, _count, _slot, _table, _var_key
 
@@ -87,22 +88,23 @@ class AffineMap(_Value):
             raise DimensionError("endomorphism is not an invertible affine map")
         return cls._from_rows(*sigma._affine_rows())
 
-    def _rows(self) -> tuple[list[list[int]], int]:
-        """[matrix | translation] as int rows over one positive den."""
-        return _linalg.clear([row + (v,) for row, v in zip(self.matrix, self.translation)])
+    def _rows(self, exponent: int = 1) -> tuple[list[list[int]], int]:
+        """[matrix | translation] of self^exponent, exponent +-1, as int rows over one den > 0."""
+        rows = _linalg.clear([row + (v,) for row, v in zip(self.matrix, self.translation)])
+        return rows if exponent == 1 else _linalg.invert_affine(*rows)
 
     def to_endo(self) -> Endo:
         return Endo._from_affine_rows(*self._rows())
 
     def _inverse_endo(self) -> Endo:
-        return Endo._from_affine_rows(*_linalg.invert_affine(*self._rows()))
+        return Endo._from_affine_rows(*self._rows(-1))
 
     def inverse(self) -> "AffineMap":
-        return AffineMap._from_rows(*_linalg.invert_affine(*self._rows()))
+        return AffineMap._from_rows(*self._rows(-1))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other, matching the endomorphism composition law."""
-        return AffineMap.from_endo(self.to_endo().compose(other.to_endo()))
+        """self after other, matching the endomorphism composition law, on int rows."""
+        return AffineMap._from_rows(*self.to_endo().compose(other.to_endo())._affine_rows())
 
 
 def _component(n: int, i: int, p: Poly, a: int, b: int, c: int) -> Poly:
@@ -232,10 +234,14 @@ class Word(_Value):
     _fields = ("letters",)
 
     def __init__(self, letters: Iterable[tuple[Generator, int]]):
-        letters = tuple((gen, exp) for gen, exp in letters)
+        letters = tuple(letters)
         if not letters:
             raise DimensionError("a word needs at least one letter")
-        for gen, exp in letters:  # the first letter is checked before its n is read
+        for letter in letters:  # the first letter is checked before its n is read
+            if not isinstance(letter, (tuple, list)) or len(letter) != 2:
+                kind = type(letter).__name__
+                raise DimensionError(f"a word letter is a (generator, exponent) pair, not {kind}")
+            gen, exp = letter
             if not isinstance(gen, (AffineMap, TriangularMap, OpaqueGenerator)):
                 raise DimensionError(f"a word letter needs a generator, not {type(gen).__name__}")
             if gen.n != letters[0][0].n:
@@ -249,16 +255,19 @@ class Word(_Value):
                 raise MissingInverse(
                     f"letter {gen.name!r}^-1 needs an inverse registered at construction"
                 )
-        self.n, self.letters = letters[0][0].n, letters
+        self.n, self.letters = letters[0][0].n, tuple((gen, exp) for gen, exp in letters)
 
     def to_endo(self) -> Endo:
-        # Fold from the right: each step substitutes the accumulated (large)
-        # map into one small letter, which bounds intermediate degrees by the
-        # true degree of the result.
+        # Fold from the right: each step puts the accumulated (large) map into one small
+        # letter, which bounds intermediate degrees by the true degree of the result; an
+        # affine letter past the first is combined from its int rows (see the module).
         result: Endo | None = None
         for gen, exp in reversed(self.letters):
-            layer = generator_to_endo(gen, exp)
-            result = layer if result is None else layer.compose(result)
+            if result is not None and isinstance(gen, AffineMap):
+                result = Endo._make(_combine(result.components, *gen._rows(exp)))
+            else:
+                layer = generator_to_endo(gen, exp)
+                result = layer if result is None else layer.compose(result)
         return result
 
     def inverse(self) -> "Word":

@@ -17,8 +17,7 @@ add Kronecker-packed keys laid out by ``_layout`` in ``_packed_product``, as
 the numerators.  Scaling skips ``_substitute``: ``_regrade`` multiplies each
 term c*x^e by prod a_j^e_j and an outer factor on ints, over one denominator,
 or flips signs where every factor is +-1; setting t also drops t's exponent.
-It serves products by a constant, ``with_t_set``, composition after a scaled
-permutation and the torus conjugation.
+It serves products by a constant, ``with_t_set`` and the torus conjugation.
 
 Values are immutable by convention: no operation mutates one and no setter
 guards it; every operation is a pure function, so values can be shared freely.
@@ -54,8 +53,8 @@ _ZERO = Fraction(0)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
-    # int first: isinstance(int, Fraction) runs ABCMeta.__instancecheck__
-    if isinstance(value, int):
+    # int first: isinstance(int, Fraction) runs ABCMeta.__instancecheck__; a bool is no scalar
+    if isinstance(value, int) and type(value) is not bool:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
@@ -64,7 +63,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 def _ratio(value: Scalar) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational in lowest terms, the denominator positive."""
-    return (int(value), 1) if isinstance(value, int) else _as_fraction(value).as_integer_ratio()
+    return (value, 1) if type(value) is int else _as_fraction(value).as_integer_ratio()
 
 
 def _count(value: int, name: str, least: int) -> int:
@@ -305,7 +304,7 @@ class Poly:
                     f"variable counts differ: {self.nvars} vs {other.nvars}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return Poly.const(self.nvars, other)
         return None
 

@@ -48,6 +48,26 @@ def random_endo(rng, n, max_degree=3, max_terms=3):
     return Endo(comps)
 
 
+def affine_selves(rng, n):
+    """Maps of degree at most one: rational rows, a zero row, a constant-only row, rows that
+    each take one image, and the zero map."""
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    def row():
+        return sum((entry() * v for v in Poly.variables(n)), Poly.const(n, entry()))
+
+    return [
+        Endo([row() for _ in range(n)]),
+        Endo([row() for _ in range(n)]),
+        Endo([Poly.zero(n)] + [row() for _ in range(n - 1)]),
+        Endo([Poly.const(n, entry() or 1)] + [row() for _ in range(n - 1)]),
+        Endo([(entry() or 1) * x(n, rng.randint(1, n)) for _ in range(n)]),
+        Endo([Poly.zero(n)] * n),
+    ]
+
+
 def random_point(rng, n):
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)]
 
@@ -179,11 +199,35 @@ class TestComposition:
             a = alpha.inverse().to_endo()
             b = random_triangular(alpha.n, seed, 2).to_endo()
             cases += [(a, b), (b, a), (a, b.compose(a))]
+        # a self of degree at most one combines other's components by its int rows, here
+        # over images with different dens, n = 1..4
+        for k in range(60):
+            u = Endo([f / rng.randint(1, 6) for f in random_endo(rng, 1 + k % 4, 3, 4).components])
+            cases += [(s, u) for s in affine_selves(rng, u.n)]
+        # rows that cancel to the zero component: x1/2 - x2/3 + 1 after (2h/5 - 2, 3h/5) is
+        # h/5 - 1 - h/5 + 1, and x1 - 2*x2 after (2h, h) is 0 with no constant
+        h = x1 * x3 / 7 + x2**2
+        cancelling = Endo([x1 / 2 - x2 / 3 + 1, x1 - 2 * x2, x3 + 5])
+        cases.append((cancelling, Endo([2 * h / 5 - 2, 3 * h / 5, x1 * x2 / 3])))
+        cases.append((cancelling, Endo([2 * h, h, x3 / 4])))
         for s, u in cases:
             for f, h in zip(s.components, s.compose(u).components):
                 assert h.terms() == dict_substitute(f, u.components)
                 assert_canonical(h)
         assert hand.compose(Endo([g, g, 3 * x1])).components[0] == 1
+        assert [s.compose(u).components[0].is_zero for s, u in cases[-2:]] == [True, False]
+        assert cancelling.compose(cases[-1][1]).components[1].is_zero
+
+    def test_affine_self_takes_no_substitution(self, monkeypatch):
+        rng = random.Random(5)
+        cases = [(s, random_endo(rng, 3, 3, 4)) for s in affine_selves(rng, 3)]
+        expected = [s.compose(u) for s, u in cases]
+
+        def refused(*args):
+            raise AssertionError("a self of degree at most one went through _substitute")
+
+        monkeypatch.setattr(Poly, "_substitute", refused)
+        assert [s.compose(u) for s, u in cases] == expected
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

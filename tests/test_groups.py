@@ -105,6 +105,28 @@ class TestAffineMap:
             assert all(type(v) is Fraction for v in inverse.translation)
             assert alpha.compose(inverse) == AffineMap.identity(alpha.n)
 
+    def test_compose_matches_the_fraction_product(self):
+        # (M, v) after (N, w) is (M N, M w + v), by plain Fractions; rational entries put the
+        # inner map's components over different dens
+        rng = random.Random(4141)
+        for case in range(60):
+            n = 1 + case % 4
+            a, b = random_affine(n, rng), random_affine(n, rng)
+            if case % 3:
+                b = b.inverse()
+            if case % 2:
+                scale = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                a = AffineMap(a.matrix, scale)
+            product = a.compose(b)
+            matrix = [[sum(r * c for r, c in zip(row, col)) for col in zip(*b.matrix)]
+                      for row in a.matrix]
+            vector = [sum(map(Fraction.__mul__, row, b.translation)) + v
+                      for row, v in zip(a.matrix, a.translation)]
+            assert product == AffineMap(matrix, vector)
+            assert product == AffineMap.from_endo(a.to_endo().compose(b.to_endo()))
+            assert all(type(e) is Fraction for row in product.matrix for e in row)
+            assert all(type(v) is Fraction for v in product.translation)
+
     def test_diagonal_matches_the_checked_constructor(self):
         for scalings in ([3], [2, Fraction(-1, 2)], [Fraction(3, 7), -5, 1], [1, 1, 1, 1]):
             n = len(scalings)
@@ -546,6 +568,67 @@ class TestWord:
         for letters in ([(letter, 1)], [(AffineMap.identity(2), 1), (letter, 1)]):
             with pytest.raises(DimensionError, match=f"not {type(letter).__name__}$"):
                 Word(letters)
+
+    @pytest.mark.parametrize(
+        "letter",
+        [AffineMap.identity(2), (AffineMap.identity(2), 1, 1), [AffineMap.identity(2)], 2],
+        ids=["bare", "triple", "single", "int"],
+    )
+    def test_letters_must_be_pairs(self, letter):
+        # first or later, a letter that is no (generator, exponent) pair is named, not unpacked
+        for letters in ([letter], [(AffineMap.identity(2), 1), letter]):
+            with pytest.raises(DimensionError) as info:
+                Word(letters)
+            kind = type(letter).__name__
+            assert str(info.value) == f"a word letter is a (generator, exponent) pair, not {kind}"
+        # a list pair is still a letter, stored as a tuple
+        assert Word([[AffineMap.identity(2), -1]]).letters == ((AffineMap.identity(2), -1),)
+
+    def test_to_endo_equals_the_letter_fold(self):
+        # affine letters past the first enter to_endo as int rows; the oracles are the
+        # letter-by-letter fold through generator_to_endo and Endo.compose, and the same
+        # fold through the Fraction dict substitution of test_poly
+        rng = random.Random(3131)
+        words = []
+        for k in range(60):
+            n = 1 + k % 4
+            word = random_tame_word(n, rng.getrandbits(32), 1 + k % 6, 2)
+            words.append(Word([(gen, rng.choice((1, -1))) for gen, _ in word.letters]))
+        for n in (1, 2, 3, 4):  # one affine letter; affine letters at both ends
+            first, last = random_affine(n, rng), random_affine(n, rng)
+            words.append(Word([(first, -1)]))
+            words.append(Word([(first, 1), (random_triangular(n, rng, 2), -1), (last, -1)]))
+            words.append(Word([(first, -1), (last, 1)]))
+        shapes = [[isinstance(gen, AffineMap) for gen, _ in w.letters] for w in words]
+        assert sum(s[0] and s[-1] and len(s) > 1 for s in shapes) >= 10
+        assert sum(s == [True] for s in shapes) >= 5
+        assert sum(any(s[:-1]) for s in shapes) >= 40  # an affine letter past the first
+        assert {-1, 1} <= {exp for w in words for _, exp in w.letters}
+        for word in words:
+            fold = exact = None
+            for gen, exp in reversed(word.letters):
+                layer = generator_to_endo(gen, exp)
+                fold = layer if fold is None else layer.compose(fold)
+                exact = layer if exact is None else Endo(
+                    [Poly(word.n, dict_substitute(f, exact.components)) for f in layer.components]
+                )
+            result = word.to_endo()
+            assert result == fold == exact
+            for f in result.components:
+                assert_canonical(f)
+
+    def test_affine_letters_past_the_first_build_no_endo(self, monkeypatch):
+        beta, alpha = random_triangular(3, 1, 2), random_affine(3, 2)
+        # the fold starts at the last letter, a triangular one
+        word = Word([(alpha, 1), (beta, 1), (alpha, -1), (beta, -1)])
+        expected = word.to_endo()
+
+        def refused(*args):
+            raise AssertionError("an affine letter past the first was built as an Endo")
+
+        monkeypatch.setattr(AffineMap, "to_endo", refused)
+        monkeypatch.setattr(AffineMap, "_inverse_endo", refused)
+        assert word.to_endo() == expected
 
     def test_opaque_generator_wraps_endos(self):
         with pytest.raises(DimensionError, match="not Poly$"):

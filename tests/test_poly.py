@@ -14,7 +14,9 @@ from operator import add
 import pytest
 
 from polyauto import NEG_INF, Poly
+from polyauto.degeneration import TorusAction, closure_witness
 from polyauto.errors import AlgebraError, DimensionError, UndefinedValuation
+from polyauto.groups import AffineMap, nagata
 from polyauto.parsing import parse_poly
 
 
@@ -119,6 +121,42 @@ class TestRingOperations:
                 with pytest.raises(DimensionError) as info:
                     op(a, b)
                 assert str(info.value) == f"variable counts differ: {counts}"
+
+    # each call puts True or False where an exact rational belongs
+    BOOL_SCALARS = {
+        "closure_witness": lambda: closure_witness(nagata()[0], [True]),
+        "TorusAction.at": lambda: TorusAction(3, 3).at(True),
+        "evaluate": lambda: Poly.variable(2, 1).evaluate([True, False]),
+        "const": lambda: Poly.const(2, True),
+        "x1 * True": lambda: x(2, 1) * True,
+        "True * x1": lambda: True * x(2, 1),
+        "x1 + False": lambda: x(2, 1) + False,
+        "True - x1": lambda: True - x(2, 1),
+        "x1 / True": lambda: x(2, 1) / True,
+        "with_t_set": lambda: Poly.t(2).with_t_set(True),
+        "Poly terms": lambda: Poly(2, {(1, 0): True}),
+        "AffineMap": lambda: AffineMap([[True]], [0]),
+    }
+
+    @pytest.mark.parametrize("call", BOOL_SCALARS.values(), ids=BOOL_SCALARS.keys())
+    def test_bool_is_not_a_scalar(self, call):
+        # counts, indices and exponents already reject bool; scalars do too, as any
+        # non-rational, or as an operand no operator takes
+        with pytest.raises(TypeError, match="bool"):
+            call()
+
+    def test_bool_operand_is_not_implemented(self):
+        # an operator hands a bool back to Python, as any operand it does not take
+        p = x(2, 1)
+        for op in (p.__add__, p.__radd__, p.__sub__, p.__rsub__, p.__mul__, p.__rmul__):
+            assert op(True) is NotImplemented and op(False) is NotImplemented
+        assert p.__add__(1) == p + 1 and p.__mul__(Fraction(1, 2)) == p / 2
+
+    def test_bool_still_compares_as_its_int(self):
+        # __eq__ is left to Python's own rule, 1 == True: a constant equals the bool of its value
+        assert Poly.const(2, 1) == True  # noqa: E712
+        assert Poly.zero(2) == False  # noqa: E712
+        assert x(2, 1) != True  # noqa: E712
 
     @pytest.mark.parametrize("nvars", [2.0, True, "2", -1])
     def test_nvars_is_a_non_negative_int(self, nvars):
