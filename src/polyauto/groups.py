@@ -8,10 +8,10 @@ decomposition are wrapped as opaque generators, optionally with a registered inv
 A word is a sequence of (generator, +1/-1) letters.  Converting a word to an
 endomorphism folds the composition from the right, so the substitution work always plugs
 a large inner map into a small outer letter; this keeps exact arithmetic tractable for
-long words.  An affine or triangular letter, and its inverse, is built on int numerators
-over one den with no Fraction: the affine inverse from ``_linalg.invert_affine``'s rows,
-the triangular one by back-substitution through ``Poly._substitute``.  An affine letter
-past the first enters the fold as those int rows (``endo._combine``): no letter Endo is built.
+long words.  From the identity on, each letter acts on the running map through
+``gen._apply(exponent, images)``, the components of gen^exponent after images, on ints with
+no Fraction: ``endo._combine`` by int rows for an affine letter, a step polynomial per slot
+for a triangular one.  A letter's own map, either exponent, is its ``_apply`` on the identity.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
 and default repr come from ``endo._Value`` alone, as for every value and record type, and
@@ -94,10 +94,10 @@ class AffineMap(_Value):
         return rows if exponent == 1 else _linalg.invert_affine(*rows)
 
     def to_endo(self) -> Endo:
-        return Endo._from_affine_rows(*self._rows())
+        return generator_to_endo(self)
 
-    def _inverse_endo(self) -> Endo:
-        return Endo._from_affine_rows(*self._rows(-1))
+    def _apply(self, exponent: int, images: Sequence[Poly]) -> tuple:
+        return _combine(images, *self._rows(exponent))
 
     def inverse(self) -> "AffineMap":
         return AffineMap._from_rows(*self._rows(-1))
@@ -158,24 +158,24 @@ class TriangularMap(_Value):
         return cls(scalings, shifts)
 
     def to_endo(self) -> Endo:
-        # a_i*x_i + p_i with a_i = r/s and p_i = P/d is (r*d*x_i + s*P)/(s*d)
-        pairs = enumerate(zip(map(Fraction.as_integer_ratio, self.scalings), self.shifts), 1)
-        return Endo._make(tuple([_component(self.n, i, p, r, s, s) for i, ((r, s), p) in pairs]))
+        return generator_to_endo(self)
 
-    def _inverse_endo(self) -> Endo:
-        # Back-substitution upward on ints: with a_i = r/s and q = p_i(later images) = Q/d,
-        # component i is (x_i - q)/a_i = (s*d*x_i - s*Q)/(r*d); one _substitute per shift.
-        n, images = self.n, [None] * self.n
-        slots = [_table(x) for x in Poly.variables(n)]  # p_i reads only slots past i
+    def _apply(self, exponent: int, images: Sequence[Poly]) -> tuple:
+        # From x_n up, a_i = r/s and p_i = P/d: the step a_i*x_i + p_i for +1, or (x_i - p_i)/a_i
+        # = (s*d*x_i - s*P)/(r*d) for -1, substituted into the slots; for -1 slot i then takes
+        # the output, so p_i reads the outputs past i (back-substitution).
+        n, out, slots = self.n, list(images), [_table(g) for g in images]
         for i in range(n - 1, -1, -1):
             r, s = self.scalings[i].as_integer_ratio()
-            images[i] = _component(n, i + 1, self.shifts[i]._substitute(slots), s, -s, r)
-            slots[i] = _table(images[i])
-        return Endo._make(tuple(images))
+            abc = (r, s, s) if exponent == 1 else (s, -s, r)
+            out[i] = _component(n, i + 1, self.shifts[i], *abc)._substitute(slots)
+            if exponent == -1:
+                slots[i] = _table(out[i])
+        return tuple(out)
 
     def inverse(self) -> "TriangularMap":
-        """The inverse letter: ``from_endo`` of the int back-substitution."""
-        return TriangularMap.from_endo(self._inverse_endo())
+        """The inverse letter: ``from_endo`` of its map, ``_apply(-1)`` on the identity."""
+        return TriangularMap.from_endo(generator_to_endo(self, -1))
 
     def compose(self, other: "TriangularMap") -> "TriangularMap":
         return TriangularMap.from_endo(self.to_endo().compose(other.to_endo()))
@@ -202,6 +202,9 @@ class OpaqueGenerator(_Value):
                 )
         self.n, self.name, self.endo, self.inverse_endo = endo.n, name, endo, inverse_endo
 
+    def _apply(self, exponent: int, images: Sequence[Poly]) -> tuple:
+        return generator_to_endo(self, exponent).compose(Endo._make(tuple(images))).components
+
     def __repr__(self):
         return f"OpaqueGenerator({self.name!r})"
 
@@ -216,7 +219,8 @@ def _check_exponent(exponent) -> None:
 
 
 def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
-    """The letter gen^exponent, built on ints with no inverse generator (see the module)."""
+    """The letter gen^exponent: its ``_apply`` on the identity, on ints with no inverse
+    generator (see the module), or an opaque generator's registered map itself."""
     _check_exponent(exponent)
     if isinstance(gen, OpaqueGenerator):
         if exponent == 1:
@@ -224,7 +228,7 @@ def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
         if gen.inverse_endo is None:
             raise MissingInverse(f"no inverse registered for {gen.name!r}")
         return gen.inverse_endo
-    return gen.to_endo() if exponent == 1 else gen._inverse_endo()
+    return Endo._make(gen._apply(exponent, Poly.variables(gen.n)))
 
 
 class Word(_Value):
@@ -258,17 +262,12 @@ class Word(_Value):
         self.n, self.letters = letters[0][0].n, tuple((gen, exp) for gen, exp in letters)
 
     def to_endo(self) -> Endo:
-        # Fold from the right: each step puts the accumulated (large) map into one small
-        # letter, which bounds intermediate degrees by the true degree of the result; an
-        # affine letter past the first is combined from its int rows (see the module).
-        result: Endo | None = None
+        # Fold from the right, from the identity: each letter acts on the accumulated (large)
+        # map through its _apply, which bounds intermediate degrees by the result's true degree.
+        images = Poly.variables(self.n)
         for gen, exp in reversed(self.letters):
-            if result is not None and isinstance(gen, AffineMap):
-                result = Endo._make(_combine(result.components, *gen._rows(exp)))
-            else:
-                layer = generator_to_endo(gen, exp)
-                result = layer if result is None else layer.compose(result)
-        return result
+            images = gen._apply(exp, images)
+        return Endo._make(images)
 
     def inverse(self) -> "Word":
         return Word([(gen, -exp) for gen, exp in reversed(self.letters)])

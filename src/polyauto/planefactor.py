@@ -149,7 +149,6 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
     steps: list[ReductionStep] = []
     x2 = Poly.variable(2, 2)
     swap = AffineMap.transposition(2, 1, 2)
-    swapped = swap.to_endo()  # its own inverse
 
     while True:
         f, g = current.components
@@ -188,18 +187,16 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
                 if k > 1
                 else "equal degrees but leading forms are not proportional",
             )
+        reduced = top - c * other**k
+        current = Endo._make((f, reduced) if on_g else (reduced, g))
         if k == 1:  # affine mix g <- g - c*f
-            mix = AffineMap([[1, 0], [-c, 1]], [0, 0])
-            step, letters, letter_text = mix.to_endo(), [(mix, -1)], f"mix g -= {c}*f"
+            letters, letter_text = [(AffineMap([[1, 0], [-c, 1]], [0, 0]), -1)], f"mix g -= {c}*f"
         else:  # the shear f <- f - c*g^k, conjugated by the swap when it acts on g
-            beta = TriangularMap([1, 1], [-c * x2**k, Poly.zero(2)])
-            step, letters = beta.to_endo(), [(beta, -1)]
+            letters = [(TriangularMap([1, 1], [-c * x2**k, Poly.zero(2)]), -1)]
             letter_text = f"elementary {big} -= {c}*{small}^{k}"
             if on_g:
-                step = swapped.compose(step).compose(swapped)
                 letters = [(swap, 1), *letters, (swap, 1)]
                 letter_text = f"transposed {letter_text}"
-        current = step.compose(current)
         inverse_letters.extend(letters)
 
         after = tuple(p.total_degree() for p in current.components)

@@ -421,6 +421,38 @@ def fraction_triangular_inverse(beta):
     return out
 
 
+def fraction_letter(gen, exp):
+    """The letter map of gen^exp, an affine or triangular letter, as one Fraction term map
+    per component, from the test-local oracles alone (no generator_to_endo, no _apply)."""
+    n = gen.n
+    if isinstance(gen, TriangularMap):
+        if exp == -1:
+            return fraction_triangular_inverse(gen)
+        pairs = enumerate(zip(gen.scalings, gen.shifts))
+        return [{**p.terms(), unit_key(n, i): a} for i, (a, p) in pairs]
+    matrix, vector = (
+        (gen.matrix, gen.translation) if exp == 1 else fraction_inverse(gen.matrix, gen.translation)
+    )
+    return [
+        {**{unit_key(n, j): c for j, c in enumerate(row)}, (0,) * (n + 1): v}
+        for row, v in zip(matrix, vector)
+    ]
+
+
+def seeded_images(rng, n):
+    """n t-free images of degree <= 2 with rational coefficients over different dens."""
+    images = []
+    for den in rng.sample((1, 2, 3, 4, 5, 7, 9), n):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            key = [0] * (n + 1)
+            for _ in range(rng.randint(0, 2)):
+                key[rng.randrange(n)] += 1
+            terms[tuple(key)] = Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), den)
+        images.append(Poly(n, terms))
+    return images
+
+
 def assert_matches_fraction_poly(f, terms):
     """f equals, and hashes like, the Poly built from the Fraction term map, and is
     stored over a positive den sharing no factor with its numerators."""
@@ -506,6 +538,51 @@ class TestLetterConversion:
         assert {beta.n for beta in letters} == {1, 2, 3, 4}
 
 
+class TestApply:
+    """gen._apply(exp, images), the components of gen^exp after images, term for term
+    against dict_substitute of the letter map that the Fraction oracles build."""
+
+    def assert_apply(self, gen, exp, images, letter):
+        result = gen._apply(exp, images)
+        assert type(result) is tuple and len(result) == gen.n
+        for f, terms in zip(result, letter):
+            assert f.terms() == dict_substitute(Poly(gen.n, terms), images)
+            assert_canonical(f)
+
+    def test_affine_and_triangular_letters(self):
+        rng = random.Random(3003)
+        letters = seeded_affine_letters()[:30] + seeded_triangular_letters()[:30]
+        image_dens = []
+        for gen in letters:
+            images = seeded_images(rng, gen.n)
+            image_dens.append({g._den for g in images})
+            for exp in (1, -1):
+                self.assert_apply(gen, exp, images, fraction_letter(gen, exp))
+        assert {gen.n for gen in letters[:30]} == {gen.n for gen in letters[30:]} == {1, 2, 3, 4}
+        assert sum(len(dens) > 1 for dens in image_dens) >= 30
+        entries = [a for alpha in letters[:30] for row in alpha.matrix for a in row]
+        scalings = [a for beta in letters[30:] for a in beta.scalings]
+        for values in (entries, scalings):  # negative and rational
+            assert any(a < 0 and a.denominator > 1 for a in values)
+        shifts = [p for beta in letters[30:] for p in beta.shifts]
+        assert any(p.is_zero for p in shifts)
+        assert any(p.is_constant() and not p.is_zero for p in shifts)
+        assert any(len({s for k in p._terms for s, e in enumerate(k) if e}) > 1 for p in shifts)
+
+    def test_opaque_letters(self):
+        rng = random.Random(3004)
+        forward, backward = nagata()
+        images = seeded_images(rng, 3)
+        for exp, endo in ((1, forward), (-1, backward)):
+            letter = [f.terms() for f in endo.components]
+            self.assert_apply(nagata_generator(), exp, images, letter)
+        sigma = Endo([x(2, 1) + x(2, 2) ** 2, x(2, 2)])
+        bare, images = OpaqueGenerator("phi", sigma), seeded_images(rng, 2)
+        self.assert_apply(bare, 1, images, [f.terms() for f in sigma.components])
+        with pytest.raises(MissingInverse):
+            bare._apply(-1, images)
+
+
 class TestWord:
     def test_pinned_orientation(self):
         swap = AffineMap.transposition(2, 1, 2)
@@ -585,9 +662,9 @@ class TestWord:
         assert Word([[AffineMap.identity(2), -1]]).letters == ((AffineMap.identity(2), -1),)
 
     def test_to_endo_equals_the_letter_fold(self):
-        # affine letters past the first enter to_endo as int rows; the oracles are the
-        # letter-by-letter fold through generator_to_endo and Endo.compose, and the same
-        # fold through the Fraction dict substitution of test_poly
+        # letters past the first act on the running map through _apply; the oracles are the
+        # letter-by-letter fold through generator_to_endo and Endo.compose, and the fold of
+        # the Fraction oracles' letter maps through the dict substitution of test_poly
         rng = random.Random(3131)
         words = []
         for k in range(60):
@@ -609,26 +686,57 @@ class TestWord:
             for gen, exp in reversed(word.letters):
                 layer = generator_to_endo(gen, exp)
                 fold = layer if fold is None else layer.compose(fold)
-                exact = layer if exact is None else Endo(
-                    [Poly(word.n, dict_substitute(f, exact.components)) for f in layer.components]
-                )
+                letter = [Poly(word.n, terms) for terms in fraction_letter(gen, exp)]
+                exact = Endo(letter if exact is None else [
+                    Poly(word.n, dict_substitute(f, exact.components)) for f in letter
+                ])
             result = word.to_endo()
             assert result == fold == exact
             for f in result.components:
                 assert_canonical(f)
 
     def test_affine_letters_past_the_first_build_no_endo(self, monkeypatch):
+        # the fold runs from the identity, so no letter is built as a letter map (to_endo of
+        # either class) and nothing goes through Endo.compose; the result is the letter-by-letter
+        # fold through generator_to_endo and Endo.compose, taken before the counting
         beta, alpha = random_triangular(3, 1, 2), random_affine(3, 2)
         # the fold starts at the last letter, a triangular one
-        word = Word([(alpha, 1), (beta, 1), (alpha, -1), (beta, -1)])
-        expected = word.to_endo()
+        words = [Word([(alpha, 1), (beta, 1), (alpha, -1), (beta, -1)])]
+        rng = random.Random(3132)
+        for k in range(48):
+            n = 1 + k % 4
+            words.append(Word([
+                (random_affine(n, rng) if rng.random() < 0.5 else random_triangular(n, rng, 2),
+                 rng.choice((1, -1)))
+                for _ in range(1 + k % 5)
+            ]))
+        folds = []
+        for word in words:
+            fold = None
+            for gen, exp in reversed(word.letters):
+                layer = generator_to_endo(gen, exp)
+                fold = layer if fold is None else layer.compose(fold)
+            folds.append(fold)
+        kinds = {(type(gen), exp) for w in words for gen, exp in w.letters[:-1]}
+        assert kinds == {(c, e) for c in (AffineMap, TriangularMap) for e in (1, -1)}
+        assert {w.letters[-1][1] for w in words} == {1, -1}
+        built, composed = [], []
 
-        def refused(*args):
-            raise AssertionError("an affine letter past the first was built as an Endo")
+        def counted(cls, name, log):
+            original = getattr(cls, name)
 
-        monkeypatch.setattr(AffineMap, "to_endo", refused)
-        monkeypatch.setattr(AffineMap, "_inverse_endo", refused)
-        assert word.to_endo() == expected
+            def wrapper(self, *args):
+                log.append(self)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(AffineMap, "to_endo", built)
+        counted(TriangularMap, "to_endo", built)
+        counted(Endo, "compose", composed)
+        for word, fold in zip(words, folds):
+            assert word.to_endo() == fold
+        assert built == composed == []
 
     def test_opaque_generator_wraps_endos(self):
         with pytest.raises(DimensionError, match="not Poly$"):
