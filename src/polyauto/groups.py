@@ -11,7 +11,8 @@ a large inner map into a small outer letter; this keeps exact arithmetic tractab
 long words.  From the identity on, each letter acts on the running map through
 ``gen._apply(exponent, images)``, the components of gen^exponent after images, on ints with
 no Fraction: ``endo._combine`` by int rows for an affine letter, a step polynomial per slot
-for a triangular one.  A letter's own map, either exponent, is its ``_apply`` on the identity.
+for a triangular one.  A letter's own map, either exponent, is its ``_apply`` on the identity,
+and a product of letters (``compose``, ``factor_plane``'s merge) is the fold of their word.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
 and default repr come from ``endo._Value`` alone, as for every value and record type, and
@@ -103,8 +104,8 @@ class AffineMap(_Value):
         return AffineMap._from_rows(*self._rows(-1))
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other, matching the endomorphism composition law, on int rows."""
-        return AffineMap._from_rows(*self.to_endo().compose(other.to_endo())._affine_rows())
+        """self after other, matching the endomorphism composition law: the word fold."""
+        return AffineMap._from_rows(*Word([(self, 1), (other, 1)]).to_endo()._affine_rows())
 
 
 def _component(n: int, i: int, p: Poly, a: int, b: int, c: int) -> Poly:
@@ -178,7 +179,8 @@ class TriangularMap(_Value):
         return TriangularMap.from_endo(generator_to_endo(self, -1))
 
     def compose(self, other: "TriangularMap") -> "TriangularMap":
-        return TriangularMap.from_endo(self.to_endo().compose(other.to_endo()))
+        """self after other: the word fold, read back by ``from_endo``."""
+        return TriangularMap.from_endo(Word([(self, 1), (other, 1)]).to_endo())
 
 
 class OpaqueGenerator(_Value):

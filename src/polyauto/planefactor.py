@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .endo import Endo, _Value
 from .errors import DegenerateInput, DimensionError, NotAnAutomorphism
-from .groups import AffineMap, Generator, TriangularMap, Word, generator_to_endo
+from .groups import AffineMap, Generator, TriangularMap, Word
 from .poly import NEG_INF, Poly
 
 
@@ -104,7 +104,7 @@ def _merge_letters(letters: list[tuple[Generator, int]]) -> list[tuple[Generator
         if gen.to_endo().is_identity():  # a letter is the identity iff its inverse is
             continue
         if merged and type(merged[-1][0]) is type(gen):
-            fused = generator_to_endo(*merged.pop()).compose(generator_to_endo(gen, exp))
+            fused = Word([merged.pop(), (gen, exp)]).to_endo()
             if not fused.is_identity():
                 merged.append((type(gen).from_endo(fused), 1))
         else:
@@ -209,10 +209,8 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
 def is_plane_automorphism(sigma: Endo):
     """Decide invertibility for n = 2, with a certificate either way.
 
-    Returns (True, PlaneFactorization) or (False, RejectionCertificate).
+    Returns (True, PlaneFactorization) or (False, RejectionCertificate); other n raise.
     """
-    if sigma.n != 2:
-        raise DimensionError("plane decision procedure is defined for n = 2 only")
     try:
         return True, factor_plane(sigma)
     except NotAnAutomorphism as error:

@@ -351,15 +351,10 @@ class Poly:
         a, b, den = p._terms, q._terms, p._den * q._den
         if not a:
             return Poly.zero(self.nvars)
-        if len(a) == 1:
-            # a monomial shifts every key of b: no collisions, no cancellation
-            [(ka, ca)] = a.items()
-            if not any(ka):
-                return q._regrade([], (ca, p._den))
-            return Poly._make(
-                self.nvars, {tuple(map(int.__add__, ka, kb)): ca * cb for kb, cb in b.items()}, den
-            )
-        # every exponent of the product is at most the sum of the operands' largest exponents
+        if len(a) == 1 and not any(key := next(iter(a))):
+            return q._regrade([], (a[key], p._den))  # a constant scales the values: p * 1 is p
+        # every other product is packed; each exponent of it is at most the sum of the
+        # operands' largest exponents
         fields, offsets, _ = _layout([max(map(max, a)) + max(map(max, b))] * (self.nvars + 1))
         pa, pb = ([(sum(map(lshift, k, offsets)), c) for k, c in t.items()] for t in (a, b))
         acc = _packed_product({}, pa, pb)

@@ -647,6 +647,8 @@ class TestTranscript:
             "  ],\n"
             '  "pass": true\n'
             "}\n"),
+        ("apply-wrong-length", ("apply", "[x1+x2^2, x2]", "1,2,3"), 1,
+            "error: expected a point of length 2\n", ""),
         ("parse-error", ("info", "[x1 + , x2]"), 1, "parse error: expected a coefficient, variable, or '(', found ',' (at position 6)\n",
             ""),
         ("parse-error-json", ("info", "[x1 + , x2]", "--json"), 1, "parse error: expected a coefficient, variable, or '(', found ',' (at position 6)\n",

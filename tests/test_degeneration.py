@@ -144,8 +144,11 @@ class TestNormalize:
         assert info.value.certificate == {"endo": str(phi), "affine_part": str(phi.affine_part())}
 
     def test_result_invariants_enforced(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="^normalization must leave a moving first"):
             NormalizationRecord(None, None, Endo.identity(2))
+        with pytest.raises(ConsistencyError) as info:
+            NormalizationRecord(None, None, Endo([2 * x(2, 1) + x(2, 2) ** 2, x(2, 2)]))
+        assert str(info.value) == "normalization must yield identity affine part"
 
 
 class TestDegenerationData:
@@ -177,12 +180,21 @@ class TestDegenerationData:
             degeneration_data(Endo([2 * x(2, 1) + x(2, 2) ** 2, x(2, 2)]))
         with pytest.raises(NormalizationRequired):
             degeneration_data(Endo([x(2, 1), x(2, 2) + x(2, 1) ** 2]))
+        affine = Endo([x(2, 1) + x(2, 2), x(2, 2)])
+        with pytest.raises(NormalizationRequired) as info:
+            degeneration_data(affine)
+        assert str(info.value) == "degeneration needs degree at least 2"
+        assert info.value.certificate == {"endo": str(affine), "degree": 1}
 
     def test_data_invariants_enforced(self):
         with pytest.raises(ConsistencyError):
             DegenerationData(Poly.zero(2), 2, Poly.zero(2), 3)
         with pytest.raises(ConsistencyError):
             DegenerationData(x(2, 2) ** 2, 1, x(2, 2) ** 2, 2)
+        for shear in (x(2, 2) ** 3, Poly.zero(2)):  # not the obstruction's degree-2 part
+            with pytest.raises(ConsistencyError) as info:
+                DegenerationData(x(2, 2) ** 2 + x(2, 2) ** 3, 2, shear, 3)
+            assert str(info.value) == "limit shear disagrees with the obstruction"
 
 
 class TestTorusConjugate:
@@ -358,6 +370,11 @@ class TestVerifyLimit:
         report = verify_limit(curve, shear_xy())
         assert report.passed
         assert report.valuations == (inf, inf)
+
+    def test_limit_on_other_variables(self):
+        with pytest.raises(DimensionError) as info:
+            verify_limit(torus_conjugate(shear_xy(), 2), Endo.identity(3))
+        assert str(info.value) == "curve and limit act on different variable counts"
 
     def test_wrong_limit_detected(self):
         forward, _ = nagata()

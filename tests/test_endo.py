@@ -157,8 +157,10 @@ class TestComposition:
         assert composed == Endo([x(2, 2), x(2, 1) + x(2, 2) ** 2])
 
     def test_mismatched_n(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^cannot compose maps on 2 and 3 variables$"):
             Endo.identity(2).compose(Endo.identity(3))
+        with pytest.raises(DimensionError, match="^can only compose with another endomorphism$"):
+            Endo.identity(2).compose(AffineMap.identity(2))
 
     def test_associativity_seeded(self):
         rng = random.Random(77)
@@ -642,6 +644,12 @@ class TestEvaluation:
 
     def test_simple(self):
         assert shear2()((1, 2)) == (5, 2)
+
+    def test_point_of_the_wrong_length(self):
+        for point in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionError) as info:
+                shear2().evaluate(point)
+            assert str(info.value) == "expected a point of length 2"
 
     def test_composition_evaluation_property(self):
         rng = random.Random(505)

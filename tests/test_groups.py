@@ -38,6 +38,7 @@ from polyauto.planefactor import (
     PlaneFactorization,
     ReductionStep,
     RejectionCertificate,
+    _merge_letters,
     factor_plane,
 )
 from polyauto.selfcheck import SuiteResult
@@ -189,7 +190,8 @@ class TestAffineMap:
         ids=["affine", "triangular"],
     )
     def test_compose_on_mismatched_n(self, a, b):
-        with pytest.raises(DimensionError):
+        # a product of letters is the fold of their word, which names the mismatch
+        with pytest.raises(DimensionError, match="^all letters must act on the same variables$"):
             a.compose(b)
 
     def test_from_endo_round_trip(self):
@@ -461,6 +463,33 @@ def assert_matches_fraction_poly(f, terms):
     assert hash(f) == hash(expected)
     assert f._den > 0
     assert gcd(f._den, *f._terms.values()) == 1
+
+
+class TestInputRejections:
+    # each call builds a letter or a word from arguments of the wrong shape
+    CASES = {
+        "empty-matrix": (lambda: AffineMap([], []), "affine map needs a square matrix"),
+        "non-square": (lambda: AffineMap([[1, 0]], [0]), "affine map needs a square matrix"),
+        "translation-length": (lambda: AffineMap([[1, 0], [0, 1]], [0]),
+                               "translation length must match the matrix size"),
+        "no-variable": (lambda: TriangularMap([], []),
+                        "triangular map needs at least one variable"),
+        "missing-shift": (lambda: TriangularMap([1, 1], [Poly.zero(2)]),
+                          "one shift per variable is required"),
+        "int-shift": (lambda: TriangularMap([1, 1], [0, Poly.zero(2)]),
+                      "shifts must be polynomials in the same variables"),
+        "shift-in-other-variables": (lambda: TriangularMap([1, 1], [Poly.zero(3), Poly.zero(2)]),
+                                     "shifts must be polynomials in the same variables"),
+        "shift-with-t": (lambda: TriangularMap([1, 1], [Poly.t(2), Poly.zero(2)]),
+                         "shifts must not involve t"),
+        "empty-word": (lambda: Word([]), "a word needs at least one letter"),
+    }
+
+    @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+    def test_rejected_with_a_message(self, call, message):
+        with pytest.raises(DimensionError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestLetterConversion:
@@ -737,6 +766,43 @@ class TestWord:
         for word, fold in zip(words, folds):
             assert word.to_endo() == fold
         assert built == composed == []
+
+    def test_letter_products_make_no_endo_compose(self, monkeypatch):
+        # compose on two letters, _merge_letters and factor_plane each fold a word, so none of
+        # them calls Endo.compose; each equals the Endo.compose product taken before the counting
+        rng = random.Random(3133)
+        pairs = []
+        for k in range(40):
+            n = 1 + k % 4
+            pairs.append((random_affine(n, rng), random_affine(n, rng)))
+            pairs.append((random_triangular(n, rng, 2), random_triangular(n, rng, 2)))
+        products = [type(a).from_endo(a.to_endo().compose(b.to_endo())) for a, b in pairs]
+        runs = []  # two letters of one type, at every pair of exponents, then one of the other
+        for k, (a, b) in enumerate(pairs[:40]):
+            ea, eb = [(1, 1), (1, -1), (-1, 1), (-1, -1)][k // 2 % 4]
+            runs.append([(a, ea), (b, eb), (pairs[k ^ 1][0], 1)])
+        beta = pairs[1][0]
+        runs.append([(beta, 1), (beta, -1), (pairs[0][0], 1)])  # fuses to the identity
+        merges = []
+        for (a, ea), (b, eb), last in runs:
+            fused = generator_to_endo(a, ea).compose(generator_to_endo(b, eb))
+            head = [] if fused.is_identity() else [(type(a).from_endo(fused), 1)]
+            merges.append(head + [last])
+        assert [] in [m[:-1] for m in merges]
+        plane = [random_tame_word(2, 500 + k, 1 + k % 6, 2 + k % 2).to_endo() for k in range(40)]
+        composed = []
+        original = Endo.compose
+
+        def counted(self, other):
+            composed.append(self)
+            return original(self, other)
+
+        monkeypatch.setattr(Endo, "compose", counted)
+        assert [a.compose(b) for a, b in pairs] == products
+        assert [_merge_letters(run) for run in runs] == merges
+        for sigma in plane:
+            assert factor_plane(sigma).word.to_endo() == sigma
+        assert composed == []
 
     def test_opaque_generator_wraps_endos(self):
         with pytest.raises(DimensionError, match="not Poly$"):

@@ -10,7 +10,14 @@ import pytest
 from polyauto import Poly, parse_endo, selfcheck
 from polyauto.endo import Endo
 from polyauto.errors import DegenerateInput, DimensionError, NotAnAutomorphism
-from polyauto.groups import AffineMap, TriangularMap, Word, format_word, random_tame_word
+from polyauto.groups import (
+    AffineMap,
+    OpaqueGenerator,
+    TriangularMap,
+    Word,
+    format_word,
+    random_tame_word,
+)
 from polyauto.planefactor import (
     PlaneFactorization,
     factor_plane,
@@ -83,8 +90,10 @@ class TestFactorPlane:
         assert certificate.reason == "jacobian"
 
     def test_wrong_dimension(self):
-        with pytest.raises(DimensionError):
-            factor_plane(Endo.identity(3))
+        for decide in (factor_plane, is_plane_automorphism):
+            with pytest.raises(DimensionError) as info:
+                decide(Endo.identity(3))
+            assert str(info.value) == "plane factorization is defined for n = 2 only"
 
     def test_degree_sums_strictly_decrease(self):
         word = random_tame_word(2, 97, 5, 3)
@@ -110,6 +119,12 @@ class TestFactorPlane:
         word = Word([(beta, 1), (beta, -1)])
         with pytest.raises(DegenerateInput):
             PlaneFactorization(word, Endo.identity(2))
+
+    def test_opaque_letter_rejected(self):
+        sigma = Endo([x(1) + x(2) ** 2, x(2)])
+        with pytest.raises(DegenerateInput) as info:
+            PlaneFactorization(Word([(OpaqueGenerator("phi", sigma), 1)]), sigma)
+        assert str(info.value) == "plane factorizations use only affine/triangular letters"
 
 
 class TestIsPlaneAutomorphism:

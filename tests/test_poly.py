@@ -122,6 +122,24 @@ class TestRingOperations:
                     op(a, b)
                 assert str(info.value) == f"variable counts differ: {counts}"
 
+    # each call hands a Poly operation an operand or a shape it does not take
+    REJECTIONS = {
+        "key-length": (lambda: Poly(2, {(1,): 1}), DimensionError,
+                       "exponent tuple (1,) does not fit 2 variables"),
+        "coefficient-length": (lambda: x(2, 1).coefficient([1]), DimensionError,
+                               "exponent tuple length must equal nvars"),
+        "divide-by-zero": (lambda: x(2, 1) / 0, ZeroDivisionError,
+                           "division of a polynomial by zero"),
+        "divide-by-a-poly": (lambda: x(2, 1) / x(2, 2), TypeError,
+                             "unsupported operand type(s) for /: 'Poly' and 'Poly'"),
+    }
+
+    @pytest.mark.parametrize("call, error, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+    def test_rejections(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
     # each call puts True or False where an exact rational belongs
     BOOL_SCALARS = {
         "closure_witness": lambda: closure_witness(nagata()[0], [True]),
@@ -301,6 +319,27 @@ class TestPackedProduct:
             keys = {tuple(map(add, ka, kb)) for ka in p.terms() for kb in q.terms()}
             cancelled += len(expected) < len(keys)
         assert cancelled > 50
+
+    def test_monomial_factors_match_dict_convolution(self):
+        # a one-term factor is packed like any other, even at exponents of 20 or 400 digits
+        rng = random.Random(405)
+        exponents = WIDE_EXPONENTS + (10**399 + 7, 3 * 10**399)
+        for case in range(300):
+            nvars = 1 + case % 4
+            key = tuple(rng.choice(exponents) for _ in range(nvars + 1))
+            if not any(key):
+                continue
+            coefficient = Fraction(rng.choice((-7, -1, 1, 2, 9)), rng.choice((1, 1, 2, 3)))
+            m = Poly(nvars, {key: coefficient})
+            q = m if case % 5 == 0 else self.random_operand(rng, nvars)
+            expected = dict_convolution(m.terms(), q.terms())
+            for product in (m * q, q * m):
+                assert product.terms() == expected
+                assert_canonical(product)
+        x1, x2 = x(2, 1), x(2, 2)
+        huge = x1 ** (10**19)
+        assert (huge * (x1 + x2)).terms() == {(10**19 + 1, 0, 0): 1, (10**19, 1, 0): 1}
+        assert (x2 * x1 ** (10**400)) * huge == Poly(2, {(10**400 + 10**19, 1, 0): 1})
 
     def test_wide_exponent_square(self):
         p = parse_poly("x1^40000*(x1+x2)") ** 2
