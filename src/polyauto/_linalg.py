@@ -1,6 +1,6 @@
 """Tiny exact linear algebra for affine maps, by fraction-free elimination on ints: a map
-x -> (Ax + u)/den is int rows [A | u] over one den > 0, and so is its inverse, built from
-Bareiss's rows with no Fraction."""
+x -> (Ax + u)/den is int rows [A | u] over one den > 0, and so is its inverse, by Bareiss's
+rows; ``clear`` makes such rows of Fractions, which an AffineMap does only at construction."""
 
 from __future__ import annotations
 
@@ -51,14 +51,14 @@ def det(matrix: Matrix) -> Fraction:
     return Fraction(sign * pivot, den ** len(matrix))
 
 
-def invert_affine(rows: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+def invert_affine(rows: list | tuple, den: int) -> tuple[list[list[int]], int]:
     """The inverse of x -> (Ax + u)/den as int rows over one positive den: x = A^-1 (den*y - u),
     so Gauss-Jordan on [A | den*I | -u] ends with pivot * [I | den*A^-1 | -A^-1 u], and a
     negative pivot's sign moves into the rows.  Raises ZeroDivisionError if A is singular."""
     n = len(rows)
     if any(len(row) != n + 1 for row in rows):
         raise DimensionError("elimination needs a square matrix")
-    rows = [row[:n] + [den * (i == j) for j in range(n)] + [-row[n]] for i, row in enumerate(rows)]
+    rows = [[*row[:n], *[den * (i == j) for j in range(n)], -row[n]] for i, row in enumerate(rows)]
     _, pivot, rows = _eliminate(rows, True)
     if not pivot:
         raise ZeroDivisionError("matrix is singular")

@@ -42,7 +42,7 @@ def _affine_keys(n: int) -> list[tuple]:
     return [_var_key(n, j) for j in range(1, n + 1)] + [(0,) * (n + 1)]
 
 
-def _combine(images: Sequence[Poly], rows: list[list[int]], den: int) -> tuple:
+def _combine(images: Sequence[Poly], rows: Sequence[Sequence[int]], den: int) -> tuple:
     """(A g + u)/den for int rows [A | u], den > 0: per row one int sum of a_j * m/d_j times
     the numerator of each image g_j over d_j, plus u * m, over den * m for m = lcm(d_j)."""
     nvars, m, out = images[0].nvars, lcm(*(g._den for g in images)), []
@@ -51,13 +51,21 @@ def _combine(images: Sequence[Poly], rows: list[list[int]], den: int) -> tuple:
         if not u and len(picked) == 1 and picked[0][0] == den:  # the row den * e_j: g_j itself
             out.append(picked[0][1])
             continue
-        acc = {(0,) * (nvars + 1): u * m} if u else {}
-        get = acc.get
+        acc = {}
         for a, g in picked:
             a *= m // g._den
-            for k, c in g._terms.items():
-                acc[k] = get(k, 0) + a * c
-        out.append(Poly._make(nvars, {k: c for k, c in acc.items() if c}, den * m))
+            if acc:  # a later image: its sums may cancel, and zeros are dropped below
+                get = acc.get
+                for k, c in g._terms.items():
+                    acc[k] = get(k, 0) + a * c
+            else:  # the first image with terms: each product a*c is nonzero
+                acc = {k: a * c for k, c in g._terms.items()}
+        if u:  # the translation may cancel a constant term
+            zero = (0,) * (nvars + 1)
+            acc[zero] = acc.get(zero, 0) + u * m
+        if u or len(picked) > 1:
+            acc = {k: c for k, c in acc.items() if c}
+        out.append(Poly._make(nvars, acc, den * m))
     return tuple(out)
 
 

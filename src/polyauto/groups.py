@@ -10,9 +10,10 @@ endomorphism folds the composition from the right, so the substitution work alwa
 a large inner map into a small outer letter; this keeps exact arithmetic tractable for
 long words.  From the identity on, each letter acts on the running map through
 ``gen._apply(exponent, images)``, the components of gen^exponent after images, on ints with
-no Fraction: ``endo._combine`` by int rows for an affine letter, a step polynomial per slot
-for a triangular one.  A letter's own map, either exponent, is its ``_apply`` on the identity,
-and a product of letters (``compose``, ``factor_plane``'s merge) is the fold of their word.
+no Fraction: ``endo._combine`` by the int rows [M | v] over one den that an affine letter
+stores at construction (inverted at each use), a step polynomial per slot for a triangular
+one.  A letter's own map, either exponent, is its ``_apply`` on the identity, and a product
+of letters (``compose``, ``factor_plane``'s merge) is the fold of their word.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
 and default repr come from ``endo._Value`` alone, as for every value and record type, and
@@ -23,18 +24,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from . import _linalg
 from .endo import Endo, _combine, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import Poly, Scalar, _as_fraction, _count, _slot, _table, _var_key
+from .poly import _ZERO, Poly, Scalar, _as_fraction, _count, _slot, _table, _var_key
 
 
 class AffineMap(_Value):
-    """An invertible map x -> Mx + v; singular matrices are rejected at construction."""
+    """An invertible map x -> Mx + v; singular matrices are rejected at construction.  Each
+    constructor also stores ``_int_rows``, [M | v] as int tuple rows over one den > 0 in lowest
+    terms (``_linalg.clear`` of the fields), from data it already has; the letter acts on them."""
 
-    __slots__ = ("n", "matrix", "translation")
+    __slots__ = ("n", "matrix", "translation", "_int_rows")
     _fields = ("matrix", "translation")
 
     def __init__(self, matrix: Sequence[Sequence[Scalar]], translation: Sequence[Scalar]):
@@ -45,14 +49,16 @@ class AffineMap(_Value):
         vec = tuple(_as_fraction(v) for v in translation)
         if len(vec) != n:
             raise DimensionError("translation length must match the matrix size")
-        if _linalg.det(rows) == 0:
+        ints, den = _linalg.clear([row + (v,) for row, v in zip(rows, vec)])
+        if not _linalg._eliminate([row[:n] for row in ints], False)[1]:
             raise DimensionError("affine map needs an invertible linear part")
         self.n, self.matrix, self.translation = n, rows, vec
+        self._int_rows = tuple(map(tuple, ints)), den
 
     @classmethod
-    def _make(cls, matrix: _linalg.Matrix, translation: tuple) -> "AffineMap":
-        self = object.__new__(cls)  # trusted: an invertible Fraction matrix and vector
-        self.n, self.matrix, self.translation = len(matrix), matrix, translation
+    def _make(cls, matrix: _linalg.Matrix, vec: tuple, rows: tuple) -> "AffineMap":
+        self = object.__new__(cls)  # trusted: an invertible map, its rows as the class says
+        self.n, self.matrix, self.translation, self._int_rows = len(matrix), matrix, vec, rows
         return self
 
     @classmethod
@@ -66,21 +72,27 @@ class AffineMap(_Value):
         perm = list(range(n))
         perm[i], perm[j] = perm[j], perm[i]
         base = cls.identity(n)  # permuted rows of the identity are invertible: no elimination
-        return cls._make(tuple(base.matrix[p] for p in perm), base.translation)
+        matrix, rows = (tuple(m[p] for p in perm) for m in (base.matrix, base._int_rows[0]))
+        return cls._make(matrix, base.translation, (rows, 1))
 
     @classmethod
     def diagonal(cls, scalings: Sequence[Scalar]) -> "AffineMap":
         scal = [_as_fraction(a) for a in scalings]
         if not scal or not all(scal):  # nonzero scalings are invertible: no elimination
             raise DimensionError("a diagonal map needs nonzero scalings")
-        zero = (Fraction(0),) * len(scal)
-        return cls._make(tuple(zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(scal)), zero)
+        n, ratios = len(scal), [a.as_integer_ratio() for a in scal]
+        den, zero, z = lcm(*[q for _, q in ratios]), (_ZERO,) * n, (0,) * n  # rows [M | 0] / den
+        matrix = tuple([zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(scal)])
+        rows = tuple([z[:i] + (p * den // q,) + z[i:] for i, (p, q) in enumerate(ratios)])
+        return cls._make(matrix, zero, (rows, den))
 
     @classmethod
-    def _from_rows(cls, rows: list[list[int]], den: int) -> "AffineMap":
+    def _from_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "AffineMap":
         """x -> (Ax + u)/den for int rows [A | u] and den > 0, unchecked like ``_make``."""
-        rows = [tuple(Fraction(c, den) for c in row) for row in rows]
-        return cls._make(tuple(row[:-1] for row in rows), tuple(row[-1] for row in rows))
+        g = gcd(den, *map(gcd, *rows))  # lowest terms: the columns' common factor with den
+        rows, den = tuple([tuple([c // g for c in row]) for row in rows]), den // g
+        frac = [tuple([Fraction(c, den) for c in row]) for row in rows]
+        return cls._make(tuple([r[:-1] for r in frac]), tuple([r[-1] for r in frac]), (rows, den))
 
     @classmethod
     def from_endo(cls, sigma: Endo) -> "AffineMap":
@@ -89,10 +101,9 @@ class AffineMap(_Value):
             raise DimensionError("endomorphism is not an invertible affine map")
         return cls._from_rows(*sigma._affine_rows())
 
-    def _rows(self, exponent: int = 1) -> tuple[list[list[int]], int]:
-        """[matrix | translation] of self^exponent, exponent +-1, as int rows over one den > 0."""
-        rows = _linalg.clear([row + (v,) for row, v in zip(self.matrix, self.translation)])
-        return rows if exponent == 1 else _linalg.invert_affine(*rows)
+    def _rows(self, exponent: int = 1) -> tuple:
+        """The int rows [M | v] and den of self^exponent, exponent +-1: stored, or inverted."""
+        return self._int_rows if exponent == 1 else _linalg.invert_affine(*self._int_rows)
 
     def to_endo(self) -> Endo:
         return generator_to_endo(self)

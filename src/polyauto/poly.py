@@ -346,7 +346,7 @@ class Poly:
         if q is None:
             return other * self if isinstance(other, Poly) else NotImplemented
         p = self
-        if len(p._terms) > len(q._terms):
+        if len(p._terms) > len(q._terms) or (len(q._terms) == 1 and q.is_constant()):
             p, q = q, p
         a, b, den = p._terms, q._terms, p._den * q._den
         if not a:
@@ -436,15 +436,11 @@ class Poly:
             product = None
             for e, (_, table) in zip(key, slots):
                 if e:
-                    power = _power(table, e)
+                    power = table[e] if e in table else _power(table, e)
                     product = power if product is None else product * power
-            if product is None:
-                items = ((zero_key, c),)
-            else:
-                items = [(k, c * v) for k, v in product._terms.items()]
-            for k, v in items:
+            for k, v in ((zero_key, 1),) if product is None else product._terms.items():
                 old = get(k)
-                acc[k] = v if old is None else old + v
+                acc[k] = c * v if old is None else old + c * v
         return Poly._make(self.nvars, {k: v for k, v in acc.items() if v}, total)
 
     def _regrade(self, moved: Sequence[tuple], outer=(1, 1), drop_t=False) -> "Poly":

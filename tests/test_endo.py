@@ -342,6 +342,13 @@ class TestMonomialComposition:
         # odd and even exponents of one slot take opposite signs
         r = self.check(Endo([x1**3 + x1**2 * x2, x2]), Endo([-x1, x2]))
         assert r.components[0] == -(x1**3) + x1**2 * x2
+        # affine rows: a zero row and a translation alone; two images that cancel with the
+        # translation's constant, and one image whose constant the translation cancels
+        u = Endo([1 + x2, 1 - x2 / 3])
+        r = self.check(Endo([Poly.zero(2), Poly.const(2, Fraction(5, 2))]), u)
+        assert r.components == (Poly.zero(2), Poly.const(2, Fraction(5, 2)))
+        r = self.check(Endo([x1 + 3 * x2 - 4, x1 - 1]), u)
+        assert r.components == (Poly.zero(2), x2)
 
     def test_zero_image_at_a_huge_exponent(self):
         # the powers of a zero image are zero, also at an exponent past 64 bits

@@ -1,6 +1,7 @@
 """Tests for affine/triangular generators, words, samplers, and the gallery."""
 
 import inspect
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, inf
@@ -255,6 +256,99 @@ class TestAffineMap:
         args = {"n": 2, "i": 1, "j": 2, slot: bad}
         with pytest.raises(DimensionError, match=f"must be an int, got {bad!r}$"):
             AffineMap.transposition(**args)
+
+
+class TestIntRows:
+    """Every AffineMap constructor stores [matrix | translation] as int tuple rows over one
+    den > 0 in lowest terms, the ``_linalg.clear`` of its Fraction fields, and a word's
+    letters act on those rows with no conversion."""
+
+    @staticmethod
+    def maps():
+        # each constructor at n = 1..4: __init__, inverse, compose, from_endo, diagonal,
+        # identity and transposition
+        rng = random.Random(3201)
+        maps = []
+        for alpha in seeded_affine_letters()[:40]:
+            n = alpha.n
+            scalings = [Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 6)) for _ in range(n)]
+            maps += [
+                alpha,
+                alpha.inverse(),
+                alpha.compose(random_affine(n, rng)),
+                AffineMap.from_endo(alpha.to_endo()),
+                AffineMap.diagonal(scalings),
+                AffineMap.identity(n),
+                AffineMap.transposition(n, rng.randint(1, n), rng.randint(1, n)),
+            ]
+        return maps
+
+    def test_rows_are_the_cleared_fields(self):
+        maps = self.maps()
+        for alpha in maps:
+            rows, den = alpha._int_rows
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            fields = [row + (v,) for row, v in zip(alpha.matrix, alpha.translation)]
+            assert ([list(row) for row in rows], den) == _linalg.clear(fields)
+            assert alpha._rows(1) is alpha._int_rows
+            assert alpha._rows(-1) == _linalg.invert_affine(*alpha._int_rows)
+        assert {alpha.n for alpha in maps} == {1, 2, 3, 4}
+        assert sum(alpha._int_rows[1] > 1 for alpha in maps) >= 40
+
+    def test_inverse_rows_that_share_a_factor_with_den(self):
+        # invert_affine's rows need not be in lowest terms; _from_rows divides out the factor
+        shared = 0
+        for alpha in seeded_affine_letters():
+            rows, den = _linalg.invert_affine(*alpha._int_rows)
+            shared += gcd(den, *(c for row in rows for c in row)) > 1
+            inverse = alpha.inverse()
+            fields = [row + (v,) for row, v in zip(inverse.matrix, inverse.translation)]
+            assert ([list(row) for row in inverse._int_rows[0]], inverse._int_rows[1]) == (
+                _linalg.clear(fields)
+            )
+        assert shared >= 10
+
+    def test_reading_a_value_never_changes_its_pickle(self):
+        # no field is filled on first read, so a value pickles alike before and after use
+        for alpha in self.maps()[:70]:
+            before = pickle.dumps(alpha)
+            word = Word([(alpha, 1), (alpha, -1)])
+            word_before = pickle.dumps(word)
+            assert alpha.matrix and alpha.translation
+            assert alpha == pickle.loads(before) and hash(alpha) == hash(pickle.loads(before))
+            assert repr(alpha) and format_word(word) and word.to_endo().is_identity()
+            assert pickle.dumps(alpha) == before and pickle.dumps(word) == word_before
+            assert pickle.loads(before)._int_rows == alpha._int_rows
+
+    def test_the_word_fold_clears_nothing(self, monkeypatch):
+        # the fold reads the stored rows: no clear, and one inversion per inverse affine letter
+        rng = random.Random(3202)
+        words = []
+        for k in range(40):
+            word = random_tame_word(1 + k % 4, rng.getrandbits(32), 1 + k % 6, 2)
+            letters = [(gen, rng.choice((1, -1))) for gen, _ in word.letters]
+            words.append(Word(letters + [(random_affine(word.n, rng), -1)]))
+        expected = [word.to_endo() for word in words]
+        calls = []
+
+        def counted(name):
+            original = getattr(_linalg, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(_linalg, name, wrapper)
+
+        counted("clear")
+        counted("invert_affine")
+        inverted = []
+        for word, endo in zip(words, expected):
+            calls.clear()
+            assert word.to_endo() == endo
+            inverted.append(sum(isinstance(g, AffineMap) and e == -1 for g, e in word.letters))
+            assert calls == ["invert_affine"] * inverted[-1]
+        assert max(inverted) >= 3 and {gen.n for w in words for gen, _ in w.letters} == {1, 2, 3, 4}
 
 
 class TestTriangularMap:

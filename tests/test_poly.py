@@ -292,6 +292,10 @@ class TestScalarProduct:
         assert_canonical(scaled)
         assert_canonical(p / Fraction(1, 6))
         assert p * 1 is p
+        # one term on each side: the constant scales the other factor, whichever side it is on
+        x1 = Poly.variable(2, 1)
+        assert x1 * 1 is x1 and 1 * x1 is x1
+        assert x1 * Poly.const(2, 1) is x1 and Poly.const(2, 1) * x1 is x1
 
 
 class TestPackedProduct:
