@@ -1,15 +1,13 @@
 """Tiny exact linear algebra for affine maps, by fraction-free elimination on ints: a map
 x -> (Ax + u)/den is int rows [A | u] over one den > 0, and so is its inverse, by Bareiss's
-rows; ``clear`` makes such rows of Fractions, which an AffineMap does only at construction."""
+rows.  No determinant: A is invertible iff ``_eliminate``'s pivot is nonzero.  ``clear`` makes
+int rows of Fraction rows, which only AffineMap's checked constructor does."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionError
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def clear(rows) -> tuple[list[list[int]], int]:
@@ -40,15 +38,6 @@ def _eliminate(rows: list[list[int]], augment: bool) -> tuple[int, int, list[lis
                 rows[i] = [(pivot * a - row[k] * b) // prev for a, b in zip(row, top)]
         prev = pivot
     return sign, prev, rows
-
-
-def det(matrix: Matrix) -> Fraction:
-    """Determinant by fraction-free elimination."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise DimensionError("elimination needs a square matrix")
-    rows, den = clear(matrix)
-    sign, pivot, _ = _eliminate(rows, False)
-    return Fraction(sign * pivot, den ** len(matrix))
 
 
 def invert_affine(rows: list | tuple, den: int) -> tuple[list[list[int]], int]:

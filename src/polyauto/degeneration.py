@@ -78,7 +78,7 @@ class TorusAction(_Value):
 
     def at(self, t0: Scalar) -> AffineMap:
         """The invertible diagonal map at a nonzero parameter value."""
-        return AffineMap.diagonal([Fraction(a, b) for a, b in self._scalings(t0)])
+        return AffineMap._diagonal(self._scalings(t0))
 
     def conjugate(self, psi: Endo, t0: Scalar) -> Endo:
         """at(t0)^-1 after psi after at(t0), with no map built: component i of psi with each

@@ -247,7 +247,7 @@ class Endo(_PolyTuple):
     def is_affine(self) -> bool:
         """Degree one with invertible linear part."""
         rows, _ = self._affine_rows()
-        return self._top_degree() == 1 and _linalg.det([row[:-1] for row in rows]) != 0
+        return self._top_degree() == 1 and _linalg._eliminate([r[:-1] for r in rows], False)[1] != 0
 
     def is_triangular(self) -> bool:
         """Component i must be a_i*x_i + p_i with a_i != 0 and p_i in later variables."""

@@ -11,9 +11,9 @@ a large inner map into a small outer letter; this keeps exact arithmetic tractab
 long words.  From the identity on, each letter acts on the running map through
 ``gen._apply(exponent, images)``, the components of gen^exponent after images, on ints with
 no Fraction: ``endo._combine`` by the int rows [M | v] over one den that an affine letter
-stores at construction (inverted at each use), a step polynomial per slot for a triangular
-one.  A letter's own map, either exponent, is its ``_apply`` on the identity, and a product
-of letters (``compose``, ``factor_plane``'s merge) is the fold of their word.
+builds from its caller's ints (inverted at each use), a step polynomial per slot for a
+triangular one.  A letter's own map, either exponent, is its ``_apply`` on the identity, and
+a product of letters (``compose``, ``factor_plane``'s merge) is the fold of their word.
 
 Generators and words name what identifies them in ``_fields``; their equality, hashing
 and default repr come from ``endo._Value`` alone, as for every value and record type, and
@@ -30,13 +30,14 @@ from typing import Iterable, Sequence, Union
 from . import _linalg
 from .endo import Endo, _combine, _Value
 from .errors import ConsistencyError, DimensionError, MissingInverse
-from .poly import _ZERO, Poly, Scalar, _as_fraction, _count, _slot, _table, _var_key
+from .poly import _ZERO, Poly, Scalar, _as_fraction, _count, _ratio, _slot, _table, _var_key
 
 
 class AffineMap(_Value):
     """An invertible map x -> Mx + v; singular matrices are rejected at construction.  Each
-    constructor also stores ``_int_rows``, [M | v] as int tuple rows over one den > 0 in lowest
-    terms (``_linalg.clear`` of the fields), from data it already has; the letter acts on them."""
+    constructor stores ``_int_rows``, [M | v] as int tuple rows over one den > 0 in lowest terms
+    (``_linalg.clear`` of the fields), the letter's data: ``__init__`` clears its Fractions,
+    ``_from_rows`` starts from int rows and ``_diagonal`` from one int pair (p, q) per slot."""
 
     __slots__ = ("n", "matrix", "translation", "_int_rows")
     _fields = ("matrix", "translation")
@@ -56,7 +57,7 @@ class AffineMap(_Value):
         self._int_rows = tuple(map(tuple, ints)), den
 
     @classmethod
-    def _make(cls, matrix: _linalg.Matrix, vec: tuple, rows: tuple) -> "AffineMap":
+    def _make(cls, matrix: tuple, vec: tuple, rows: tuple) -> "AffineMap":
         self = object.__new__(cls)  # trusted: an invertible map, its rows as the class says
         self.n, self.matrix, self.translation, self._int_rows = len(matrix), matrix, vec, rows
         return self
@@ -71,18 +72,23 @@ class AffineMap(_Value):
         i, j = _slot(_count(n, "n", 1), i), _slot(n, j)  # 0-based, once checked
         perm = list(range(n))
         perm[i], perm[j] = perm[j], perm[i]
-        base = cls.identity(n)  # permuted rows of the identity are invertible: no elimination
-        matrix, rows = (tuple(m[p] for p in perm) for m in (base.matrix, base._int_rows[0]))
-        return cls._make(matrix, base.translation, (rows, 1))
+        # the identity's rows [I | 0], permuted, are invertible: no elimination
+        return cls._from_rows([[int(c == p) for c in range(n + 1)] for p in perm], 1)
 
     @classmethod
     def diagonal(cls, scalings: Sequence[Scalar]) -> "AffineMap":
-        scal = [_as_fraction(a) for a in scalings]
-        if not scal or not all(scal):  # nonzero scalings are invertible: no elimination
+        ratios = [_ratio(a) for a in scalings]
+        if not ratios or not all(p for p, _ in ratios):
             raise DimensionError("a diagonal map needs nonzero scalings")
-        n, ratios = len(scal), [a.as_integer_ratio() for a in scal]
-        den, zero, z = lcm(*[q for _, q in ratios]), (_ZERO,) * n, (0,) * n  # rows [M | 0] / den
-        matrix = tuple([zero[:i] + (a,) + zero[i + 1 :] for i, a in enumerate(scal)])
+        return cls._diagonal(ratios)
+
+    @classmethod
+    def _diagonal(cls, ratios: Sequence[tuple[int, int]]) -> "AffineMap":
+        """x_i -> (p_i/q_i) x_i for nonzero int pairs in lowest terms with q_i > 0, invertible,
+        so unchecked like ``_make``: rows [M | 0] over lcm(q)."""
+        n, den = len(ratios), lcm(*[q for _, q in ratios])
+        zero, z = (_ZERO,) * n, (0,) * n
+        matrix = tuple([zero[:i] + (Fraction(*r),) + zero[i + 1 :] for i, r in enumerate(ratios)])
         rows = tuple([z[:i] + (p * den // q,) + z[i:] for i, (p, q) in enumerate(ratios)])
         return cls._make(matrix, zero, (rows, den))
 
@@ -91,7 +97,7 @@ class AffineMap(_Value):
         """x -> (Ax + u)/den for int rows [A | u] and den > 0, unchecked like ``_make``."""
         g = gcd(den, *map(gcd, *rows))  # lowest terms: the columns' common factor with den
         rows, den = tuple([tuple([c // g for c in row]) for row in rows]), den // g
-        frac = [tuple([Fraction(c, den) for c in row]) for row in rows]
+        frac = [tuple([Fraction(c, den) if c else _ZERO for c in row]) for row in rows]
         return cls._make(tuple([r[:-1] for r in frac]), tuple([r[-1] for r in frac]), (rows, den))
 
     @classmethod
@@ -216,7 +222,10 @@ class OpaqueGenerator(_Value):
         self.n, self.name, self.endo, self.inverse_endo = endo.n, name, endo, inverse_endo
 
     def _apply(self, exponent: int, images: Sequence[Poly]) -> tuple:
-        return generator_to_endo(self, exponent).compose(Endo._make(tuple(images))).components
+        endo = self.endo if exponent == 1 else self.inverse_endo
+        if endo is None:
+            raise MissingInverse(f"no inverse registered for {self.name!r}")
+        return endo.compose(Endo._make(tuple(images))).components
 
     def __repr__(self):
         return f"OpaqueGenerator({self.name!r})"
@@ -232,15 +241,9 @@ def _check_exponent(exponent) -> None:
 
 
 def generator_to_endo(gen: Generator, exponent: int = 1) -> Endo:
-    """The letter gen^exponent: its ``_apply`` on the identity, on ints with no inverse
-    generator (see the module), or an opaque generator's registered map itself."""
+    """The letter gen^exponent: its ``_apply`` on the identity, which for an affine or
+    triangular letter works on ints with no inverse generator (see the module)."""
     _check_exponent(exponent)
-    if isinstance(gen, OpaqueGenerator):
-        if exponent == 1:
-            return gen.endo
-        if gen.inverse_endo is None:
-            raise MissingInverse(f"no inverse registered for {gen.name!r}")
-        return gen.inverse_endo
     return Endo._make(gen._apply(exponent, Poly.variables(gen.n)))
 
 
@@ -345,7 +348,7 @@ def random_affine(n: int, seed: int | random.Random) -> AffineMap:
     if rng.random() < 0.5:
         while True:
             matrix = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            if _linalg.det(matrix) != 0:
+            if _linalg._eliminate(list(matrix), False)[1]:  # a copy: elimination edits rows
                 break
     else:
         perm = list(range(n))

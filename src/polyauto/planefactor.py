@@ -27,7 +27,7 @@ from fractions import Fraction
 from .endo import Endo, _Value
 from .errors import DegenerateInput, DimensionError, NotAnAutomorphism
 from .groups import AffineMap, Generator, TriangularMap, Word
-from .poly import NEG_INF, Poly
+from .poly import Poly
 
 
 def leading_form(f: Poly) -> Poly:

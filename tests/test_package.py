@@ -1,5 +1,6 @@
-"""Tests for the package's public names, which resolve on first use."""
+"""Tests for the package's public names, which resolve on first use, and for its imports."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -126,3 +127,22 @@ def test_bench_trace_targets_resolve():
         for part in outer:
             owner = getattr(owner, part)
         assert name in vars(owner), f"{module_name}.{attribute_path}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a stdlib lint for dead imports: each name that a module of the package imports is read
+    # somewhere in that module; a name read only in a quoted annotation does not count
+    package = os.path.dirname(os.path.abspath(polyauto.__file__))
+    dead = []
+    for filename in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, filename)) as source:
+            tree = ast.parse(source.read())
+        nodes = list(ast.walk(tree))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                dead += [f"{filename}:{node.lineno} {name}" for name in names if name not in read]
+    assert dead == []
