@@ -199,6 +199,35 @@ class TestRejectionsBehindTheJacobian:
             "jacobian": "1",
         }
 
+    def test_golden(self, monkeypatch):
+        # Byte pin of the words, steps and certificates past a forced pre-check:
+        # 400 random maps and 400 near-miss plane words, a tame map whose first
+        # component gains a*x2^max(2, deg).  Every reason but ``jacobian`` fires,
+        # at stage 0 and later, and about 100 maps factor.
+        monkeypatch.setattr(Endo, "jacobian_det", lambda self: Poly.const(2, 1))
+        rng = random.Random(34)
+        maps = [selfcheck.random_endo(rng, 2) for _ in range(400)]
+        for s in range(400):
+            sigma = random_tame_word(2, 34_000 + s, 1 + s % 6, 2).to_endo()
+            f, g = sigma.components
+            maps.append(Endo([f + rng.choice([-2, -1, 1, 3]) * x(2) ** max(2, sigma.degree()), g]))
+        digest = sha256()
+
+        def put(text):
+            digest.update(text.encode() + b"\n")
+
+        for sigma in maps:
+            try:
+                fac = factor_plane(sigma)
+            except NotAnAutomorphism as error:
+                put(str(error))
+                put(json.dumps(error.certificate))
+            else:
+                put(format_word(fac.word))
+                for step in fac.steps:
+                    put(str(step))
+        assert digest.hexdigest().startswith("317ce4b1")
+
 
 class TestRoundTrip:
     def test_seeded_plane_words_recompose(self):
