@@ -223,7 +223,7 @@ class Endo(_PolyTuple):
 
     def affine_part(self) -> "Endo":
         """Truncation of each component to its constant and linear terms."""
-        return Endo._from_affine_rows(*self._affine_rows())
+        return Endo._make(_combine(Poly.variables(self.n), *self._affine_rows()))
 
     def has_identity_affine_part(self) -> bool:
         """Component i's terms of degree at most one are exactly x_i: row i is den * e_i."""
@@ -235,14 +235,6 @@ class Endo(_PolyTuple):
         [A | u] over one positive den, the affine part being x -> (Ax + u)/den."""
         den, keys = lcm(*(f._den for f in self.components)), _affine_keys(self.n)
         return [[f._terms.get(k, 0) * (den // f._den) for k in keys] for f in self.components], den
-
-    @classmethod
-    def _from_affine_rows(cls, rows: list[list[int]], den: int) -> "Endo":
-        """x -> (Ax + u)/den for int rows [A | u] and den > 0; zero entries are dropped."""
-        n, keys = len(rows), _affine_keys(len(rows))
-        return cls._make(
-            tuple([Poly._make(n, {k: c for k, c in zip(keys, row) if c}, den) for row in rows])
-        )
 
     def is_affine(self) -> bool:
         """Degree one with invertible linear part."""

@@ -1,12 +1,13 @@
 """Constructive factorization of plane (n = 2) automorphisms.
 
 The classical degree-reduction loop: while the map (f, g) is not affine,
-the smaller component degree must divide the larger and the smaller
-leading form's k-th power must be proportional to the larger leading form.
-One step cancels that top form (g's on a tie): an affine mix when k = 1,
-else the elementary shear, conjugated by the swap when it acts on g.  Each
-step strictly reduces deg f + deg g.  A successful run terminates in an
-invertible affine map and assembles a word of affine and triangular
+the smaller degree must divide the larger, k times.  A step subtracts c
+times the smaller component's k-th power from the larger (g on a tie), c
+read off one top monomial of that power, and stands iff the larger degree
+drops, i.e. iff the two leading forms are proportional.  It is an affine
+mix when k = 1, else the elementary shear, conjugated by the swap when it
+acts on g; deg f + deg g falls by construction.  A successful run ends in
+an invertible affine map and assembles a word of affine and triangular
 letters that recomposes exactly to the input, which proves the input is an
 automorphism.  Any failing step is returned as a rejection certificate,
 sound because plane automorphisms always admit such a reduction.
@@ -14,15 +15,12 @@ sound because plane automorphisms always admit such a reduction.
 A constant-Jacobian pre-check fast-fails inputs whose Jacobian determinant
 is not a nonzero constant (with the determinant as evidence); it is only a
 shortcut, never the acceptance path.  Past it, ``constant-component`` and
-``singular-affine`` cannot fire (either would make the Jacobian 0), nor can
-``no-decrease`` (each step cancels the top form exactly); ``divisibility``
-and ``non-proportional`` fire only on a counterexample to the plane
-Jacobian conjecture.  The checks stay, because they are the sound decision.
+``singular-affine`` cannot fire (either would make the Jacobian 0), and
+``divisibility`` and ``non-proportional`` fire only on a counterexample to
+the plane Jacobian conjecture.  The checks stay: they are the sound decision.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .endo import Endo, _Value
 from .errors import DegenerateInput, DimensionError, NotAnAutomorphism
@@ -35,15 +33,6 @@ def leading_form(f: Poly) -> Poly:
     if f.is_zero:
         raise DegenerateInput("the zero polynomial has no leading form")
     return f.homogeneous_component(range(1, f.nvars + 1), f.total_degree())
-
-
-def _proportionality(p: Poly, q: Poly) -> Fraction | None:
-    """The constant c with p == c * q, or None if no such constant exists."""
-    anchor = max(q._terms)
-    c = Fraction(p._terms.get(anchor, 0) * q._den, q._terms[anchor] * p._den)
-    if c == 0:
-        return None
-    return c if p == c * q else None
 
 
 class ReductionStep(_Value):
@@ -98,11 +87,10 @@ class PlaneFactorization(_Value):
 
 
 def _merge_letters(letters: list[tuple[Generator, int]]) -> list[tuple[Generator, int]]:
-    """Fuse adjacent letters of one type and drop identities; types then alternate."""
+    """Fuse adjacent letters of one type, dropping fusions that give the identity;
+    types then alternate.  No letter passed in may be the identity."""
     merged: list[tuple[Generator, int]] = []
     for gen, exp in letters:
-        if gen.to_endo().is_identity():  # a letter is the identity iff its inverse is
-            continue
         if merged and type(merged[-1][0]) is type(gen):
             fused = Word([merged.pop(), (gen, exp)]).to_endo()
             if not fused.is_identity():
@@ -158,7 +146,9 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
                 final = AffineMap.from_endo(current)
             except DimensionError:
                 raise reject("singular-affine", "reduction ended in a singular affine map")
-            letters = _merge_letters(inverse_letters + [(final, 1)])
+            if final != AffineMap.identity(2):
+                inverse_letters.append((final, 1))
+            letters = _merge_letters(inverse_letters)
             word = Word(letters or [(AffineMap.identity(2), 1)])
             return PlaneFactorization(word, sigma, tuple(steps))
 
@@ -179,15 +169,19 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
         if rest:
             detail = f"deg {big} = {high} is not a multiple of deg {small} = {low}"
             raise reject("divisibility", detail)
-        c = _proportionality(leading_form(top), leading_form(other) ** k)
-        if c is None:
+        # c matches top to the power at one top monomial of the power; the step
+        # stands iff the degree drops, which c = 0 never does
+        power = other**k
+        anchor = max(leading_form(power).terms())[:-1]
+        c = top.coefficient(anchor) / power.coefficient(anchor)
+        reduced = top - c * power
+        if reduced.total_degree() >= high:
             raise reject(
                 "non-proportional",
                 f"leading form of {big} is not proportional to the power of that of {small}"
                 if k > 1
                 else "equal degrees but leading forms are not proportional",
             )
-        reduced = top - c * other**k
         current = Endo._make((f, reduced) if on_g else (reduced, g))
         if k == 1:  # affine mix g <- g - c*f
             letters, letter_text = [(AffineMap([[1, 0], [-c, 1]], [0, 0]), -1)], f"mix g -= {c}*f"
@@ -201,8 +195,6 @@ def factor_plane(sigma: Endo) -> PlaneFactorization:
 
         after = tuple(p.total_degree() for p in current.components)
         steps.append(ReductionStep(before, after, letter_text))
-        if sum(after) >= sum(before):
-            raise reject("no-decrease", "a reduction step failed to lower the degree sum")
         stage += 1
 
 
