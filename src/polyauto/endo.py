@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import lshift
+from operator import lshift, mul, sub
 from typing import Sequence
 
 from . import _linalg
@@ -30,9 +30,10 @@ from .errors import DegenerateInput, DimensionError, FiltrationError
 from .poly import NEG_INF, Poly, Scalar, _as_fraction, _layout, _packed_product
 from .poly import _count, _table, _var_key
 
-# poly_det packs one slot densely only while its degree bound stays within
-# this many times the matrix's term count: a dense value holds a field for
-# every exponent up to the bound, so a sparse high power such as x1^(10^19)
+# Both _Packing front ends (a matrix for poly_det, an Endo's components for
+# Endo.jacobian_det) pack one slot densely only while its degree bound stays
+# within this many times the matrix's term count: a dense value holds a field
+# for every exponent up to the bound, so a sparse high power such as x1^(10^19)
 # must stay in the key.
 _DENSE_DEGREE_PER_TERM = 4
 
@@ -238,8 +239,10 @@ class Endo(_PolyTuple):
 
     def is_affine(self) -> bool:
         """Degree one with invertible linear part."""
+        if self._top_degree() != 1:
+            return False
         rows, _ = self._affine_rows()
-        return self._top_degree() == 1 and _linalg._eliminate([r[:-1] for r in rows], False)[1] != 0
+        return _linalg._eliminate([r[:-1] for r in rows], False)[1] != 0
 
     def is_triangular(self) -> bool:
         """Component i must be a_i*x_i + p_i with a_i != 0 and p_i in later variables."""
@@ -258,7 +261,10 @@ class Endo(_PolyTuple):
         )
 
     def jacobian_det(self) -> Poly:
-        return poly_det(self.jacobian_matrix())
+        """poly_det(self.jacobian_matrix()) by the same ``_det``, from _Packing's second front
+        end, which reads the components' terms and builds no derivative Poly; both front ends
+        lay the packing out by one rule, ``_Packing._lay_out``."""
+        return _det(_Packing.jacobian(self.components))
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -302,29 +308,24 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square matrix of polynomials.
 
     Dynamic programming over column subsets (Laplace expansion with shared
-    minors): n * 2^(n-1) entry-by-minor products instead of the n! of a
-    naive permanent-style expansion, with rows taken sparsest first so the
-    dense rows only multiply the final minors.  Each product's sign is its
-    Leibniz inversion count against the entries already taken, so that row
-    order needs no correcting sign at the end.  The expansion runs on
-    Kronecker-packed integers (:class:`_Packing`, whose fields ``poly._layout``
-    places) and multiplies them in ``poly._packed_product``: each row is put
-    over one denominator, the lcm of its entries' dens, and packs its int
-    numerators; the coefficients of one dense slot (the one of largest degree
-    bound) share one int in B-bit fields, the other slots' exponents pack into
-    the dict key, and the determinant is decoded once, in balanced digits, over
-    the product of the row denominators, reduced once.
+    minors, ``_det``): n * 2^(n-1) entry-by-minor products instead of n!, with
+    rows taken sparsest first so the dense rows only multiply the final minors.
+    It runs on Kronecker-packed integers (:class:`_Packing`): each row is put
+    over one denominator, the lcm of its entries' dens; the coefficients of one
+    dense slot (the one of largest degree bound) share one int in B-bit fields,
+    the other slots' exponents pack into the dict key (``poly._layout``), and
+    products go through ``poly._packed_product``.  The determinant is decoded
+    once, in balanced digits, over the product of the row denominators.
     Packing the dense slot evaluates it at y = 2^B, a ring homomorphism, so
-    products and sums of packed values are exact without decoding.  The
-    decoding is unique for B = bits(P) + 2, with P the product over rows of
-    the row's l1 norm (the sum of its entries' absolute coefficients): by
-    the Leibniz expansion every partial minor, partial sum and the
-    determinant itself is a signed sum of products taking one entry from
-    each of some rows, so its l1 norm is at most P < 2^(B-2), and every
-    coefficient lies inside the balanced digit range (-2^(B-1), 2^(B-1)).
-    Key fields are as wide as a bound on every minor's degree in their slot
-    (n times the matrix's largest exponent there, since a minor multiplies
-    at most one entry per row), so no key sum carries into the next field.
+    products and sums of packed values are exact whatever their digits, and
+    only the determinant has to decode: it does for B = bits(P) + 2, with P
+    the product over rows of the row's l1 norm (the sum of its entries'
+    absolute coefficients), since by the Leibniz expansion the determinant's
+    l1 norm is at most P < 2^(B-2), inside the balanced digit range
+    (-2^(B-1), 2^(B-1)); B = bits(P) + 1 would do.  Key fields are as wide as
+    a bound on every minor's degree in their slot (n times the matrix's
+    largest exponent there: a minor takes at most one entry per row), so no
+    key sum carries into the next field.
     """
     n = len(rows)
     if n == 0:
@@ -334,18 +335,23 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     nvars = rows[0][0].nvars
     if {entry.nvars for row in rows for entry in row} != {nvars}:
         raise DimensionError("matrix entries must share nvars")
-    packing = _Packing(rows, nvars)
-    order = sorted(range(n), key=lambda i: sum(map(len, packing.rows[i])))
+    return _det(_Packing(rows, nvars))
+
+
+def _det(packing: "_Packing") -> Poly:
+    """poly_det's expansion of a packed matrix.  Each product's sign is its Leibniz inversion
+    count against the entries already taken, so row order needs no correcting sign."""
+    rows = packing.rows
+    order = sorted(range(len(rows)), key=lambda i: sum(map(len, rows[i])))
     # minors[S] = det of the submatrix on the first k ordered rows, kept in
     # index order, and the columns in the bit set S
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
     for k, i in enumerate(order):
         below = sum(r < i for r in order[:k])
-        row = packing.rows[i]
         negated: dict[int, list] = {}  # entry j's negated terms, built at most once per row
         new: dict[int, dict[int, int]] = {}
         for cols, minor in minors.items():
-            for j, entry in enumerate(row):
+            for j, entry in enumerate(rows[i]):
                 bit = 1 << j
                 if cols & bit or not entry:
                     continue
@@ -361,8 +367,8 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             if acc:
                 minors[cols] = acc
         if not minors:
-            return Poly.zero(nvars)
-    return packing.unpack(minors[(1 << n) - 1])
+            return Poly.zero(packing.nvars)
+    return packing.unpack(minors[(1 << len(rows)) - 1])
 
 
 class _Packing:
@@ -373,42 +379,73 @@ class _Packing:
     E = sum(e[s] << offset[s]) over all slots, with the fields of
     ``poly._layout``.  The key fields sit below bit ``top`` and the dense
     slot's field at ``top``, so the term goes to the key E mod 2^top and adds
-    c << (width * (E >> top)) to that key's value.  No slot is dense when the
-    dense degree bound exceeds _DENSE_DEGREE_PER_TERM times the matrix's term
-    count: then E >> top is 0 and values are plain coefficients.
+    c << (width * (E >> top)) to that key's value.  Two front ends read the
+    matrix: ``_Packing(rows, nvars)`` its Poly entries (``poly_det``), and
+    ``_Packing.jacobian`` an Endo's components (``Endo.jacobian_det``).  For
+    one matrix they find the same divisor, l1 norm P, degree bounds and term
+    count, from which one rule, ``_lay_out``, sets the width and the fields.
     """
 
     def __init__(self, rows: Sequence[Sequence[Poly]], nvars: int):
-        self.nvars = nvars
-        scaled = []
-        self.divisor = norm = 1
+        scaled, divisor, norm = [], 1, 1
         for row in rows:
-            m = 1  # the lcm of the row's dens
-            for entry in row:
-                m *= entry._den // gcd(m, entry._den)
-            self.divisor *= m
-            row = [(entry._terms, m // entry._den) for entry in row]
-            row = [terms if s == 1 else {k: c * s for k, c in terms.items()} for terms, s in row]
-            scaled.append(row)
-            norm *= sum([abs(c) for entry in row for c in entry.values()])
-        self.width = norm.bit_length() + 2
-        keys = [key for row in scaled for entry in row for key in entry]
+            divisor *= (m := lcm(*(entry._den for entry in row)))
+            scaled.append(row := [(e._terms, m // e._den) for e in row])
+            norm *= sum([abs(c) * s for terms, s in row for c in terms.values()])
+        keys = [key for row in scaled for terms, _ in row for key in terms]
         bounds = [len(rows) * max(column) for column in zip(*keys)] or [0] * (nvars + 1)
-        dense = max(range(nvars + 1), key=bounds.__getitem__)
-        if bounds[dense] > _DENSE_DEGREE_PER_TERM * len(keys):
-            dense = None
-        self.fields, offsets, self.top = _layout(bounds, dense)
+        offsets = self._lay_out(nvars, divisor, norm, bounds, len(keys))
         low, top, width = (1 << self.top) - 1, self.top, self.width
-        self.rows = []
         for row in scaled:
-            packed_row = []
-            for entry in row:
-                out: dict[int, int] = {}
-                for key, c in entry.items():
+            self.rows.append(packed_row := [])
+            for terms, scale in row:
+                packed_row.append(out := {})
+                for key, c in terms.items():
                     e = sum(map(lshift, key, offsets))
-                    out[e & low] = out.get(e & low, 0) + (c << width * (e >> top))
-                packed_row.append(out)
-            self.rows.append(packed_row)
+                    out[e & low] = out.get(e & low, 0) + (c * scale << width * (e >> top))
+
+    @classmethod
+    def jacobian(cls, components: Sequence[Poly]) -> "_Packing":
+        """The packing of the Jacobian matrix of n t-free components in n variables.  Row i
+        is over den_i / g_i, g_i = gcd(den_i, every c * e_j of f_i's terms c * x^e).  A slot's
+        largest derivative exponent is the terms' largest there, a pure power's less one.  A
+        term is packed once as E, and gives d f_i / d x_j for each e_j > 0 the term
+        c * e_j / g_i at E - 2^offset[j]."""
+        n, self = len(components), object.__new__(cls)
+        scales, divisor, norm = [], 1, 1
+        for f in components:
+            terms, den = f._terms, f._den
+            g = gcd(den, *[c * gcd(*e) for e, c in terms.items()]) if den != 1 else 1
+            scales.append(g)
+            divisor *= den // g
+            norm *= sum(map(mul, map(abs, terms.values()), map(sum, terms))) // g
+        keys = [e for f in components for e in f._terms]
+        zeros = [e.count(0) for e in keys]
+        count = (n + 1) * len(keys) - sum(zeros)  # one derivative term per exponent e_j > 0
+        pure = [z == n for z in zeros]  # x_s^m, whose one derivative has m - 1 in slot s
+        bounds = [n * max(0, *map(sub, column, pure)) for column in zip(*keys)] or [0] * (n + 1)
+        offsets = self._lay_out(n, divisor, norm, bounds, count)
+        low, top, width = (1 << self.top) - 1, self.top, self.width
+        bits = [1 << offset for offset in offsets[:n]]
+        for f, g in zip(components, scales):
+            self.rows.append(row := [{} for _ in bits])
+            for e, c in f._terms.items():
+                packed = sum(map(lshift, e, offsets))
+                for ej, bit, out in zip(e, bits, row):
+                    if ej:
+                        k = packed - bit
+                        out[k & low] = out.get(k & low, 0) + (c * ej // g << width * (k >> top))
+        return self
+
+    def _lay_out(self, nvars: int, divisor: int, norm: int, bounds: list, count: int) -> list:
+        """Set the width bits(P) + 2 and the fields, whose dense slot is the first of largest
+        bound unless that exceeds _DENSE_DEGREE_PER_TERM * count; return the offsets."""
+        self.nvars, self.divisor, self.width, self.rows = nvars, divisor, norm.bit_length() + 2, []
+        dense = max(range(nvars + 1), key=bounds.__getitem__)
+        if bounds[dense] > _DENSE_DEGREE_PER_TERM * count:
+            dense = None  # then E >> top is 0 and values are plain coefficients
+        self.fields, offsets, self.top = _layout(bounds, dense)
+        return offsets
 
     def unpack(self, packed: dict[int, int]) -> Poly:
         """The polynomial of packed terms, over the product of the row denominators."""

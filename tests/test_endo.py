@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -12,7 +12,7 @@ from polyauto import Poly, selfcheck
 from polyauto.degeneration import (
     ParamEndo, TorusAction, degeneration_data, normalize, torus_conjugate
 )
-from polyauto.endo import CoeffVector, Endo, monomials_upto, poly_det
+from polyauto.endo import CoeffVector, Endo, _Packing, monomials_upto, poly_det
 from polyauto.errors import DegenerateInput, DimensionError, FiltrationError
 from polyauto.groups import AffineMap, random_affine, random_triangular
 from test_degeneration import sample_suite_case
@@ -597,6 +597,82 @@ class TestJacobian:
                 for _ in range(n)
             ]
             assert poly_det(dense).terms() == leibniz_det(dense)
+
+    def test_jacobian_det_at_the_coefficient_bound(self):
+        # The Jacobian front end of _Packing, at the same bound: a permuted
+        # monomial map x_i -> +-(2^k - 1) x_pi(i)^m has one determinant
+        # coefficient, the product of the Jacobian rows' l1 norms (2^k - 1) * m.
+        # Dense components of +-(2^k - 1) give rows of full-size coefficients
+        # of both signs.
+        rng = random.Random(2670)
+        for trial in range(60):
+            n = 1 + trial % 4
+            k = rng.choice((1, 2, 7, 31, 64))
+            corner = 2**k - 1
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            sigma = Endo(
+                [rng.choice((-corner, corner)) * x(n, j) ** rng.randint(1, 5) for j in perm]
+            )
+            bound = 1
+            for f in sigma.components:
+                ((key, c),) = f.terms().items()
+                bound *= abs(c) * sum(key)
+            det = sigma.jacobian_det()
+            assert det.terms() == leibniz_det(sigma.jacobian_matrix())
+            assert [abs(c) for c in det.terms().values()] == [bound]
+            dense = Endo(
+                [
+                    Poly(n, {key: rng.choice((-corner, corner)) for key in monomials_upto(n, 2)})
+                    if rng.random() < 0.8
+                    else Poly.zero(n)
+                    for _ in range(n)
+                ]
+            )
+            assert dense.jacobian_det().terms() == leibniz_det(dense.jacobian_matrix())
+
+    def test_jacobian_packing_equals_the_matrix_packing(self):
+        # _Packing.jacobian must hand the expansion exactly what _Packing
+        # builds from jacobian_matrix(): width, divisor, fields and packed rows
+        def rational(rng, n):
+            # even exponents and numerators over 2, 4, 6 or 12: derivatives share content, g_i > 1
+            def term():
+                key = tuple(rng.choice((0, 0, 2, 4)) for _ in range(n)) + (0,)
+                return key, Fraction(2 * rng.randint(-3, 3), rng.choice((2, 4, 6, 12)))
+
+            return Endo([Poly(n, dict(term() for _ in range(rng.randint(1, 4)))) for _ in range(n)])
+
+        def degenerate(rng, n):
+            # zero and constant components give zero rows
+            sigma = selfcheck.random_endo(rng, n)
+            flat = [Poly.zero(n), Poly.const(n, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))]
+            return Endo([rng.choice(flat) if rng.random() < 0.4 else f for f in sigma.components])
+
+        rng = random.Random(1609)
+        rationals = [rational(rng, 1 + i % 4) for i in range(60)]
+        shared = [_Packing.jacobian(s.components).divisor < prod(f._den for f in s.components)
+                  for s in rationals]
+        assert sum(shared) >= 30
+        maps = rationals + [selfcheck.random_endo(rng, 1 + i % 4) for i in range(80)]
+        maps += [degenerate(rng, 1 + i % 4) for i in range(40)]
+        sparse = Endo([x(2, 1) ** 9999999999999999999, x(2, 2)])
+        # 2 terms but 4 derivative terms: x1's bound 2 * 6 keeps its slot dense
+        # under the rule's 4 * 4, which counts the matrix's terms
+        threshold = Endo([x(2, 1) ** 6 * x(2, 2), x(2, 1) * x(2, 2) ** 2])
+        maps += [sparse, threshold]
+        sources = [selfcheck.sample_tame_case(k) for k in range(100) if k % 3]
+        maps += [phi for phi in sources if max(map(len, phi.components)) <= 250]
+        for sigma in maps:
+            matrix = sigma.jacobian_matrix()
+            packing, reference = _Packing.jacobian(sigma.components), _Packing(matrix, sigma.n)
+            assert (packing.width, packing.divisor) == (reference.width, reference.divisor)
+            assert (packing.fields, packing.top) == (reference.fields, reference.top)
+            assert packing.rows == reference.rows
+            assert sigma.jacobian_det() == poly_det(matrix)
+        # no dense slot: x1's degree bound 2 * (10^19 - 2) is far past the term count
+        assert all(mask != -1 for _, mask in _Packing.jacobian(sparse.components).fields)
+        assert _Packing.jacobian(threshold.components).fields[0][1] == -1
+        assert sparse.jacobian_det() == 9999999999999999999 * x(2, 1) ** 9999999999999999998
 
     def test_poly_det_of_a_dense_power(self):
         # the determinant's 800 coefficients sit in one packed int between
